@@ -128,6 +128,13 @@ def _parse_bool(value: str, line: int) -> bool:
     raise _err(f"expected true or false, got {value!r}", line)
 
 
+def _parse_int(value: str, line: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise _err(f"expected an integer, got {value!r}", line) from None
+
+
 def _parse_circle(value: str, line: int) -> orbifold.BoundaryCircle:
     if value == "plain":
         return orbifold.BoundaryCircle.plain()
@@ -154,10 +161,10 @@ def _parse_orbifold(body, name, comments) -> Document:
         elif key == "orientable":
             orientable = _parse_bool(value, line)
         elif key == "genus":
-            genus = int(value)
+            genus = _parse_int(value, line)
         elif key == "cone":
             if value:
-                cones += [int(x.strip()) for x in value.split(",")]
+                cones += [_parse_int(x.strip(), line) for x in value.split(",")]
         elif key == "circle":
             circles.append(_parse_circle(value, line))
         else:
@@ -625,13 +632,13 @@ def _cmd_gbs_length(args, out: TextIO) -> int:
     spec = doc.payload
     g = spec.graph
     w = _named_word(spec, args.word, g)
-    nf = gbs.britton_reduce(g, w)
-    length = len(nf.crossing_sequence)
+    seq = gbs.crossing_sequence(g, w)
+    length = len(seq)
     rep = Report(operation="gbs.length")
     _provenance(rep, text, args.seed)
     rep.values["word"] = args.word
     rep.values["length"] = str(length)
-    rep.values["crossing_sequence"] = ",".join(nf.crossing_sequence)
+    rep.values["crossing_sequence"] = ",".join(seq)
     rep.values["modular_image"] = rational_str(gbs.modular_homomorphism(g, w))
     rep.add("translation_length", "elliptic", "true" if length == 0 else "false")
     if args.oracle is not None:
@@ -781,6 +788,23 @@ def _cmd_export_dot(args, out: TextIO) -> int:
     raise SemanticError(f"no graph to export in a {doc.kind!r} document")
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}"
+            )
+        return n
+
+    return parse
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog=TOOL_NAME, description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -795,7 +819,7 @@ def _build_parser() -> _Parser:
     common(a)
     a.set_defaults(func=_cmd_orbifold_analyze)
     e = orb.add_parser("enumerate")
-    e.add_argument("--budget", type=int, required=True)
+    e.add_argument("--budget", type=_int_at_least(0), required=True)
     common(e)
     e.set_defaults(func=_cmd_orbifold_enumerate)
 
@@ -803,7 +827,7 @@ def _build_parser() -> _Parser:
     ln = gb.add_parser("length")
     ln.add_argument("file")
     ln.add_argument("--word", required=True)
-    ln.add_argument("--oracle", type=int, default=None, metavar="R")
+    ln.add_argument("--oracle", type=_int_at_least(0), default=None, metavar="R")
     common(ln)
     ln.set_defaults(func=_cmd_gbs_length)
     rp = gb.add_parser("report")
@@ -814,9 +838,12 @@ def _build_parser() -> _Parser:
     lat = sub.add_parser("lattice").add_subparsers(dest="sub", required=True)
     lv = lat.add_parser("verify")
     lv.add_argument("file")
-    lv.add_argument("--words", type=int, default=100)
+    lv.add_argument("--words", type=_int_at_least(0), default=100)
     lv.add_argument(
-        "--maxlen", type=int, default=gbs.search_budget(None), metavar="L"
+        "--maxlen",
+        type=_int_at_least(1),
+        default=gbs.search_budget(None),
+        metavar="L",
     )
     common(lv)
     lv.set_defaults(func=_cmd_lattice_verify)
@@ -847,9 +874,8 @@ def run(
     2 identity violation)."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
         return args.func(args, out)
     except _UsageError as exc:
         err.write(f"error: {exc}\n{exc.usage}")

@@ -14,15 +14,20 @@ base point. The translation length of an element on the Bass-Serre tree is
 the crossing count of its cyclically reduced form; ball_displacement_oracle
 recomputes it from explicit tree geometry and serves as the independent
 check of the Britton engine.
+
+validate_graph attaches a GraphIndex to the graph it returns (edges by id,
+departing crossings, spanning-tree parents and depths), so edge lookups are
+dict reads, tree paths cost O(depth) and reductions O(n) in word items.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Container, Iterable, Iterator, Optional, Union
 
 from .errors import (
     Disconnected,
@@ -42,7 +47,18 @@ def search_budget(L: Optional[int] = None) -> int:
     """Default bound for word searches, overridable via the environment."""
     if L is not None:
         return L
-    return int(os.environ.get(SEARCH_BUDGET_ENV, DEFAULT_SEARCH_BUDGET))
+    raw = os.environ.get(SEARCH_BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_SEARCH_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise SemanticError(
+            f"{SEARCH_BUDGET_ENV} must be a non-negative integer, got {raw!r}"
+        )
+    return budget
 
 
 # -- graphs -------------------------------------------------------------------
@@ -66,15 +82,34 @@ class LabeledGraph:
     base: Optional[str] = None
     spanning_tree: Optional[tuple[str, ...]] = None
     name: str = ""
+    # built by validate_graph; invisible to equality, hashing and repr
+    index: Optional[GraphIndex] = field(
+        default=None, compare=False, repr=False, hash=False
+    )
 
     def edge(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise SemanticError(f"no edge named {eid!r}")
+        e = _indexed(self).index.edges.get(eid)
+        if e is None:
+            raise SemanticError(f"no edge named {eid!r}")
+        return e
 
     def has_vertex(self, v: str) -> bool:
         return v in self.vertices
+
+
+@dataclass(frozen=True, eq=False)
+class GraphIndex:
+    """Lookup tables of a validated graph, built once by validate_graph.
+    departing[v] lists the crossings leaving v in edge order (the forward
+    crossing of an edge before its backward one). The spanning tree is
+    rooted at the base: parent[v] = (parent vertex, crossing from v up to
+    it, crossing from it down to v) for every other vertex, and depth[v]
+    counts tree edges from the base."""
+
+    edges: dict[str, Edge]
+    departing: dict[str, tuple[Cross, ...]]
+    parent: dict[str, tuple[str, Cross, Cross]]
+    depth: dict[str, int]
 
 
 def graph(vertices: Iterable[str], edges: Iterable[tuple], name: str = "") -> LabeledGraph:
@@ -89,43 +124,94 @@ def bs(m: int, n: int) -> LabeledGraph:
     return graph(("v",), (("e", "v", "v", n, m),), name=f"bs{m}_{n}")
 
 
+def _breadth_first(
+    base: str,
+    departing: dict[str, list[Cross]],
+    edges: dict[str, Edge],
+    usable: Container[str],
+) -> dict[str, Optional[Cross]]:
+    """Vertices reachable from base along crossings of usable edges, in
+    breadth-first order, each with the crossing that first reached it."""
+    reached: dict[str, Optional[Cross]] = {base: None}
+    queue = deque((base,))
+    while queue:
+        v = queue.popleft()
+        for c in departing[v]:
+            if c.edge not in usable:
+                continue
+            e = edges[c.edge]
+            b = e.terminus if c.sign > 0 else e.origin
+            if b not in reached:
+                reached[b] = c
+                queue.append(b)
+    return reached
+
+
+def _indexed(g: LabeledGraph) -> LabeledGraph:
+    """g itself when already indexed, else its validated form."""
+    return g if g.index is not None else validate_graph(g)
+
+
 def validate_graph(g: LabeledGraph) -> LabeledGraph:
     """Verify connectivity and nonzero labels; fix a base vertex and a
-    spanning tree deterministically when absent."""
+    spanning tree deterministically when absent, check a given one, and
+    attach the graph's index. An indexed graph is returned unchanged."""
+    if g.index is not None:
+        return g
     if not g.vertices:
         raise Disconnected("empty graph")
     if len(set(g.vertices)) != len(g.vertices):
         raise SemanticError("duplicate vertex id")
-    if len({e.id for e in g.edges}) != len(g.edges):
+    edges = {e.id: e for e in g.edges}
+    if len(edges) != len(g.edges):
         raise SemanticError("duplicate edge id")
+    departing: dict[str, list[Cross]] = {v: [] for v in g.vertices}
     for e in g.edges:
         if e.lam == 0 or e.mu == 0:
             raise ZeroLabel(f"edge {e.id} carries a zero label")
-        if e.origin not in g.vertices or e.terminus not in g.vertices:
+        if e.origin not in departing or e.terminus not in departing:
             raise SemanticError(f"edge {e.id} attached to an unknown vertex")
+        departing[e.origin].append(Cross(e.id, +1))
+        departing[e.terminus].append(Cross(e.id, -1))
     base = g.base if g.base is not None else min(g.vertices)
-    if base not in g.vertices:
+    if base not in departing:
         raise SemanticError(f"base {base!r} is not a vertex")
     # breadth-first spanning tree, edges taken in listed order
-    parent_edge: dict[str, str] = {}
-    seen = {base}
-    queue = [base]
-    while queue:
-        v = queue.pop(0)
-        for e in g.edges:
-            for a, b in ((e.origin, e.terminus), (e.terminus, e.origin)):
-                if a == v and b not in seen:
-                    seen.add(b)
-                    parent_edge[b] = e.id
-                    queue.append(b)
-    if seen != set(g.vertices):
+    reached = _breadth_first(base, departing, edges, edges)
+    if len(reached) != len(g.vertices):
         raise Disconnected("graph is not connected")
-    tree = g.spanning_tree
-    if tree is None:
-        tree = tuple(sorted(set(parent_edge.values())))
+    if g.spanning_tree is None:
+        tree = tuple(sorted({c.edge for c in reached.values() if c is not None}))
     else:
-        tree = tuple(tree)
-    return LabeledGraph(tuple(g.vertices), tuple(g.edges), base, tree, g.name)
+        tree = tuple(g.spanning_tree)
+        for eid in tree:
+            if eid not in edges:
+                raise SemanticError(f"spanning tree names unknown edge {eid!r}")
+        if len(set(tree)) != len(tree):
+            raise SemanticError("spanning tree lists an edge twice")
+        # V-1 edges that reach every vertex cannot close a cycle
+        if len(tree) != len(g.vertices) - 1:
+            raise SemanticError(
+                f"spanning tree has {len(tree)} edges; a spanning tree of"
+                f" {len(g.vertices)} vertices has {len(g.vertices) - 1}"
+            )
+        reached = _breadth_first(base, departing, edges, set(tree))
+        if len(reached) != len(g.vertices):
+            missing = next(v for v in g.vertices if v not in reached)
+            raise SemanticError(f"spanning tree does not reach vertex {missing!r}")
+    parent: dict[str, tuple[str, Cross, Cross]] = {}
+    depth = {base: 0}
+    for v, c in reached.items():
+        if c is not None:
+            up = Cross(c.edge, -c.sign)
+            e = edges[c.edge]
+            p = e.origin if c.sign > 0 else e.terminus
+            parent[v] = (p, up, c)
+            depth[v] = depth[p] + 1
+    index = GraphIndex(
+        edges, {v: tuple(cs) for v, cs in departing.items()}, parent, depth
+    )
+    return LabeledGraph(tuple(g.vertices), tuple(g.edges), base, tree, g.name, index)
 
 
 # -- words ---------------------------------------------------------------------
@@ -180,18 +266,22 @@ def validate_word(g: LabeledGraph, w: GroupWord) -> GroupWord:
     previous one ends, and the path closes up at the base."""
     if not g.has_vertex(w.base):
         raise InvalidPath(f"base {w.base!r} is not a vertex")
+    edges = _indexed(g).index.edges
     cur = w.base
     for item in w.items:
         if isinstance(item, Pow):
             if item.vertex != cur:
                 raise InvalidPath(f"power at {item.vertex!r} but path is at {cur!r}")
-        else:
-            if _dep_vertex(g, item) != cur:
-                raise InvalidPath(
-                    f"crossing of {item.edge!r} departs {_dep_vertex(g, item)!r}"
-                    f" but path is at {cur!r}"
-                )
-            cur = _arr_vertex(g, item)
+            continue
+        e = edges.get(item.edge)
+        if e is None:
+            raise SemanticError(f"no edge named {item.edge!r}")
+        dep, arr = (e.origin, e.terminus) if item.sign > 0 else (e.terminus, e.origin)
+        if dep != cur:
+            raise InvalidPath(
+                f"crossing of {item.edge!r} departs {dep!r} but path is at {cur!r}"
+            )
+        cur = arr
     if cur != w.base:
         raise InvalidPath(f"path ends at {cur!r}, not at base {w.base!r}")
     return w
@@ -222,51 +312,50 @@ def power(w: GroupWord, n: int) -> GroupWord:
 # surface letters: ("a", vertex, exponent) and ("t", edge, +-1)
 
 def tree_path(g: LabeledGraph, frm: str, to: str) -> list[Cross]:
-    """Crossings along the spanning tree from one vertex to another."""
-    if frm == to:
-        return []
-    tree_edges = [g.edge(eid) for eid in (g.spanning_tree or ())]
-    prev: dict[str, Cross] = {}
-    seen = {frm}
-    queue = [frm]
-    while queue:
-        v = queue.pop(0)
-        for e in tree_edges:
-            for cross in (Cross(e.id, +1), Cross(e.id, -1)):
-                if _dep_vertex(g, cross) == v and _arr_vertex(g, cross) not in seen:
-                    nxt = _arr_vertex(g, cross)
-                    seen.add(nxt)
-                    prev[nxt] = cross
-                    queue.append(nxt)
-    if to not in prev:
-        raise InvalidPath(f"no spanning-tree path from {frm!r} to {to!r}")
-    path = []
-    v = to
-    while v != frm:
-        c = prev[v]
-        path.append(c)
-        v = _dep_vertex(g, c)
-    path.reverse()
-    return path
+    """Crossings along the spanning tree from one vertex to another: up from
+    frm to the lowest common ancestor, then down to `to`."""
+    g = _indexed(g)
+    parent, depth = g.index.parent, g.index.depth
+    for v in (frm, to):
+        if v not in depth:
+            raise InvalidPath(f"unknown vertex {v!r}")
+    ups: list[Cross] = []
+    downs: list[Cross] = []
+    while depth[frm] > depth[to]:
+        frm, up, _ = parent[frm]
+        ups.append(up)
+    while depth[to] > depth[frm]:
+        to, _, down = parent[to]
+        downs.append(down)
+    while frm != to:
+        frm, up, _ = parent[frm]
+        ups.append(up)
+        to, _, down = parent[to]
+        downs.append(down)
+    downs.reverse()
+    return ups + downs
 
 
 def make_word(g: LabeledGraph, letters: Iterable[tuple], base: Optional[str] = None) -> GroupWord:
     """Build a closed word from surface letters, routing each letter through
     the spanning tree: a[v]^n conjugates a vertex power to the base, t[e]
     crosses e between tree connectors."""
-    if g.base is None or g.spanning_tree is None:
-        g = validate_graph(g)
+    g = _indexed(g)
     b = base if base is not None else g.base
     items: list[Item] = []
     for kind, name, k in letters:
         if kind == "a":
+            if name not in g.index.depth:
+                raise InvalidPath(f"unknown vertex {name!r} in letter a[{name}]")
             if k == 0:
                 continue
             items += tree_path(g, b, name)
             items.append(Pow(name, k))
             items += tree_path(g, name, b)
         elif kind == "t":
-            e = g.edge(name)
+            e = g.index.edges.get(name)
+            if e is None:
+                raise InvalidPath(f"unknown edge {name!r} in letter t[{name}]")
             if k not in (+1, -1):
                 raise InvalidPath(f"crossing exponent must be +-1, got {k}")
             start = e.origin if k > 0 else e.terminus
@@ -299,61 +388,62 @@ def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross],
     """Stack pass yielding [(crossing or None, following power, vertex)].
     Once a crossing is buried under a later one its preceding power is
     frozen and pinch-free, so the output is Britton-reduced."""
+    edges = g.index.edges
     out: list[tuple[Optional[Cross], int, str]] = [(None, 0, w.base)]
     for item in w.items:
+        c, p, v = out[-1]
         if isinstance(item, Pow):
-            c, p, v = out[-1]
             out[-1] = (c, p + item.n, v)
             continue
-        c, p, v = out[-1]
-        d = _dep_label(g, item)
-        if c is not None and c == _rev(item) and p % d == 0:
-            q = p // d
+        e = edges[item.edge]
+        d, a = (e.lam, e.mu) if item.sign > 0 else (e.mu, e.lam)
+        if c is not None and c.edge == item.edge and c.sign == -item.sign and p % d == 0:
             out.pop()
             c2, p2, v2 = out[-1]
-            out[-1] = (c2, p2 + q * _arr_label(g, item), v2)
+            out[-1] = (c2, p2 + p // d * a, v2)
         else:
-            out.append((item, 0, _arr_vertex(g, item)))
+            out.append((item, 0, e.terminus if item.sign > 0 else e.origin))
     return out
 
 
 def _cyclic_reduce(g: LabeledGraph, linear) -> tuple[list[tuple[Cross, int]], str, int]:
     """Cyclic pinch removal on the crossing list; returns the cyclic pair
     list, plus the vertex and exponent of the residual power (the whole
-    element when the list empties)."""
+    element when the list empties). The linear pass left no pinch inside
+    the list, so only the wrap adjacency (last, first) can pinch, and
+    removing that pair exposes the next wrap: O(n) pops at both ends."""
     p0 = linear[0][1]
-    pairs = [(c, p) for (c, p, _) in linear[1:]]
-    if not pairs:
+    if len(linear) == 1:
         return [], linear[0][2], p0
-    last_c, last_p = pairs[-1]
-    pairs[-1] = (last_c, last_p + p0)
-    while pairs:
-        k = len(pairs)
-        hit = None
-        for i in range(k):
-            ci, qi = pairs[i]
-            cj, qj = pairs[(i + 1) % k]
-            if cj == _rev(ci) and qi % _dep_label(g, cj) == 0:
-                hit = i
-                break
-        if hit is None:
+    pairs = deque((c, p) for (c, p, _) in linear[1:])
+    c, p = pairs.pop()
+    pairs.append((c, p + p0))
+    while len(pairs) >= 2:
+        ci, qi = pairs[-1]
+        cj, qj = pairs[0]
+        d = _dep_label(g, cj)
+        if cj.edge != ci.edge or cj.sign != -ci.sign or qi % d != 0:
             break
-        i = hit
-        j = (i + 1) % k
-        ci, qi = pairs[i]
-        cj, qj = pairs[j]
-        q = qi // _dep_label(g, cj)
-        carry = q * _dep_label(g, ci)
-        if k == 2:
+        pairs.pop()
+        pairs.popleft()
+        carry = qi // d * _dep_label(g, ci)
+        if not pairs:
             return [], _dep_vertex(g, ci), carry + qj
-        nl = [pairs[(j + 1 + s) % k] for s in range(k - 2)]
-        pc, pq = nl[-1]
-        nl[-1] = (pc, pq + carry + qj)
-        pairs = nl
-    return pairs, _dep_vertex(g, pairs[0][0]), 0
+        c, p = pairs.pop()
+        pairs.append((c, p + carry + qj))
+    return list(pairs), _dep_vertex(g, pairs[0][0]), 0
 
 
-def _word_from_linear(g: LabeledGraph, base: str, linear) -> GroupWord:
+def _reduce(g: LabeledGraph, w: GroupWord):
+    """The reduction core shared by every length consumer: the indexed
+    graph, the linear pass, and the cyclic pass over it."""
+    g = validate_graph(g)
+    validate_word(g, w)
+    linear = _linear_reduce(g, w)
+    return g, linear, _cyclic_reduce(g, linear)
+
+
+def _word_from_linear(base: str, linear) -> GroupWord:
     items: list[Item] = []
     if linear[0][1] != 0:
         items.append(Pow(base, linear[0][1]))
@@ -380,25 +470,29 @@ def _word_from_cyclic(g: LabeledGraph, pairs, res_vertex: str, res_power: int) -
 def britton_reduce(g: LabeledGraph, w: GroupWord) -> NormalForm:
     """Britton-reduce w, then cyclically reduce it. Terminates because every
     pinch removes two crossings."""
-    g = validate_graph(g)
-    validate_word(g, w)
-    linear = _linear_reduce(g, w)
-    word = _word_from_linear(g, w.base, linear)
-    pairs, res_v, res_p = _cyclic_reduce(g, linear)
-    cyclic_word = _word_from_cyclic(g, pairs, res_v, res_p)
-    crossings = tuple(c.edge for c, _ in pairs)
+    g, linear, (pairs, res_v, res_p) = _reduce(g, w)
     return NormalForm(
-        word=word,
-        cyclic_word=cyclic_word,
+        word=_word_from_linear(w.base, linear),
+        cyclic_word=_word_from_cyclic(g, pairs, res_v, res_p),
         britton_reduced=True,
         cyclically_reduced=(len(linear) - 1 == len(pairs)),
-        crossing_sequence=crossings,
+        crossing_sequence=tuple([c.edge for c, _ in pairs]),
     )
+
+
+def crossing_sequence(g: LabeledGraph, w: GroupWord) -> list[str]:
+    """The edge ids of britton_reduce(g, w).crossing_sequence, as a list,
+    without building the words of the normal form. Length queries run this
+    once per word; a list rather than a tuple because CPython 3.11 keeps
+    freed 20-item tuples on a free list it never reuses."""
+    _, _, (pairs, _, _) = _reduce(g, w)
+    return [c.edge for c, _ in pairs]
 
 
 def translation_length(g: LabeledGraph, w: GroupWord) -> int:
     """Crossing count of the cyclically reduced form; 0 iff elliptic."""
-    return len(britton_reduce(g, w).crossing_sequence)
+    _, _, (pairs, _, _) = _reduce(g, w)
+    return len(pairs)
 
 
 def is_elliptic(g: LabeledGraph, w: GroupWord) -> bool:
@@ -621,12 +715,7 @@ def divisibility_criterion(g: LabeledGraph) -> dict[str, Optional[tuple[int, int
     g = validate_graph(g)
     out: dict[str, Optional[tuple[int, int]]] = {}
     for v in g.vertices:
-        labels = []
-        for e in g.edges:
-            if e.origin == v:
-                labels.append(abs(e.lam))
-            if e.terminus == v:
-                labels.append(abs(e.mu))
+        labels = [abs(_dep_label(g, c)) for c in g.index.departing[v]]
         hit = None
         for i in range(len(labels)):
             for j in range(len(labels)):
@@ -747,16 +836,6 @@ def _tree_distance(x: tuple[Step, ...], y: tuple[Step, ...]) -> int:
     return len(x) + len(y) - 2 * common
 
 
-def _departing(g: LabeledGraph, v: str) -> list[Cross]:
-    out = []
-    for e in g.edges:
-        if e.origin == v:
-            out.append(Cross(e.id, +1))
-        if e.terminus == v:
-            out.append(Cross(e.id, -1))
-    return out
-
-
 def _ball(g: LabeledGraph, base: str, radius: int, max_vertices: int) -> list[tuple[Step, ...]]:
     """Vertices of the radius-R ball around the base coset, breadth-first,
     truncated at max_vertices."""
@@ -766,7 +845,7 @@ def _ball(g: LabeledGraph, base: str, radius: int, max_vertices: int) -> list[tu
         nxt: list[tuple[Step, ...]] = []
         for p in frontier:
             tip = base if not p else _arr_vertex(g, p[-1][0])
-            for c in _departing(g, tip):
+            for c in g.index.departing[tip]:
                 for r in range(abs(_dep_label(g, c))):
                     if p and r == 0 and p[-1][0] == _rev(c):
                         continue  # parent vertex
@@ -866,6 +945,8 @@ def random_letter_word(g: LabeledGraph, rng: random.Random, max_len: int) -> lis
 def sample_words(
     g: LabeledGraph, count: int, max_len: int, seed: int
 ) -> list[GroupWord]:
+    if max_len < 1:
+        raise SemanticError(f"sampled words need a length bound >= 1, got {max_len}")
     g = validate_graph(g)
     rng = random.Random(seed)
     return [

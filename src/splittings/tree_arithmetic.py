@@ -66,7 +66,7 @@ def lcm(K1: CollapseTree, K2: CollapseTree) -> CollapseTree:
 def length_in_collapse(m: MasterSplitting, K: CollapseTree, w: GroupWord) -> int:
     """Translation length of w in the collapse: crossings of the master's
     cyclically reduced form that survive into K."""
-    seq = gbs.britton_reduce(m.graph, w).crossing_sequence
+    seq = gbs.crossing_sequence(m.graph, w)
     return sum(1 for eid in seq if eid in K.kept)
 
 
@@ -81,7 +81,7 @@ def verify_modularity(
     union = lcm(K1, K2).kept
     inter = gcd(K1, K2).kept
     for w in words:
-        seq = gbs.britton_reduce(m.graph, w).crossing_sequence
+        seq = gbs.crossing_sequence(m.graph, w)
         l1 = sum(1 for e in seq if e in K1.kept)
         l2 = sum(1 for e in seq if e in K2.kept)
         lu = sum(1 for e in seq if e in union)
@@ -109,7 +109,7 @@ def squarefree_witnesses(
     remaining = set(pending)
     for letters in gbs._letter_words(m.graph, L):
         w = gbs.make_word(m.graph, letters)
-        seq = gbs.britton_reduce(m.graph, w).crossing_sequence
+        seq = gbs.crossing_sequence(m.graph, w)
         for pair in list(remaining):
             p1, p2 = sorted(pair, key=lambda p: sorted(p.kept))
             l1 = sum(1 for e in seq if e in p1.kept)
@@ -129,7 +129,7 @@ def elliptic_in_lcm(
     equivalence with being elliptic in every factor before returning."""
     if not Ks:
         raise SemanticError("elliptic_in_lcm needs at least one collapse")
-    seq = gbs.britton_reduce(m.graph, w).crossing_sequence
+    seq = gbs.crossing_sequence(m.graph, w)
     union = frozenset().union(*(K.kept for K in Ks))
     in_lcm = all(e not in union for e in seq)
     in_each = all(all(e not in K.kept for e in seq) for K in Ks)

@@ -271,6 +271,77 @@ class TestRun:
         assert "line 2" in err
 
 
+class TestHostileInput:
+    def test_bad_budget_env_exit_1(self, monkeypatch):
+        monkeypatch.setenv("SPLITTINGS_BUDGET", "abc")
+        code, out, err = run("gbs", "report", str(INPUTS / "bs23.txt"))
+        assert code == 1 and out == ""
+        assert "SPLITTINGS_BUDGET" in err
+
+    def test_zero_budget_env_lattice_exit_1(self, monkeypatch):
+        monkeypatch.setenv("SPLITTINGS_BUDGET", "0")
+        code, _, err = run("lattice", "verify", str(INPUTS / "m3.txt"), "--words", "3")
+        assert code == 1
+        assert "length bound" in err
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[orbifold]\nname = x\ngenus = x\n", 3),
+            ("[orbifold]\ncone = 2, 3,\n", 2),
+        ],
+    )
+    def test_bad_integer_is_syntax_error(self, text, line, tmp_path):
+        with pytest.raises(DocumentSyntaxError) as exc:
+            cli_io.parse(text)
+        assert exc.value.line == line
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        code, _, err = run("orbifold", "analyze", str(p))
+        assert code == 1
+        assert f"line {line}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gbs", "length", "bs23.txt", "--word", "atat", "--oracle", "-5"),
+            ("lattice", "verify", "m3.txt", "--words", "-3"),
+            ("lattice", "verify", "m3.txt", "--maxlen", "-1"),
+            ("lattice", "verify", "m3.txt", "--maxlen", "0"),
+            ("orbifold", "enumerate", "--budget", "-1"),
+            ("orbifold", "enumerate", "--budget", "two"),
+        ],
+    )
+    def test_negative_flags_exit_1(self, argv):
+        argv = [str(INPUTS / a) if a.endswith(".txt") else a for a in argv]
+        code, out, err = run(*argv)
+        assert code == 1 and out == ""
+        assert "error: argument" in err and "usage:" in err
+
+    @pytest.mark.parametrize(
+        "tree, message",
+        [("nope", "unknown edge 'nope'"), ("f, g", "has 2 edges")],
+    )
+    def test_bad_tree_rejected_at_parse(self, tree, message, tmp_path):
+        text = f"[gbs]\nedge f: u(2) -- v(3)\nedge g: u(3) -- v(5)\ntree = {tree}\n"
+        with pytest.raises(SemanticError, match=message):
+            cli_io.parse(text)
+        p = tmp_path / "tree.txt"
+        p.write_text(text)
+        code, out, err = run("gbs", "length", str(p), "--word", "t[f] t[g]^-1")
+        assert code == 1 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "word, message",
+        [("a[zz]", "unknown vertex 'zz'"), ("t[nope]", "unknown edge 'nope'")],
+    )
+    def test_unknown_letter_names_exit_1(self, word, message):
+        code, _, err = run("gbs", "length", str(INPUTS / "bs23.txt"), "--word", word)
+        assert code == 1
+        assert message in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -49,6 +49,72 @@ class TestValidateGraph:
             )
 
 
+class TestGraphIndex:
+    def test_indexed_graph_returned_unchanged(self, m3):
+        assert m3.index is not None
+        assert sp.validate_graph(m3) is m3
+
+    def test_index_invisible_to_equality_hash_repr(self, m3):
+        bare = sp.LabeledGraph(m3.vertices, m3.edges, m3.base, m3.spanning_tree, m3.name)
+        assert bare.index is None
+        assert bare == m3 and hash(bare) == hash(m3)
+        assert repr(bare) == repr(m3)
+
+    def test_departing_in_edge_order(self, m3):
+        assert m3.index.departing["u"] == (
+            Cross("e", 1), Cross("e", -1), Cross("f", 1),
+        )
+
+    def test_given_tree_routes_words(self):
+        g = sp.validate_graph(
+            sp.LabeledGraph(
+                ("u", "v"),
+                (gbs.Edge("f", "u", "v", 2, 3), gbs.Edge("g", "u", "v", 3, 5)),
+                "u",
+                ("g",),
+            )
+        )
+        assert W(g, ("a", "v", 1)).items == (Cross("g", 1), Pow("v", 1), Cross("g", -1))
+
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            (("nope",), "unknown edge 'nope'"),
+            (("f", "g"), "has 2 edges"),  # a two-edge cycle
+            (("f", "f"), "twice"),
+            (("e",), "does not reach vertex 'v'"),  # a loop
+            ((), "has 0 edges"),
+        ],
+    )
+    def test_given_tree_must_span(self, tree, message):
+        edges = (
+            gbs.Edge("e", "u", "u", 2, 3),
+            gbs.Edge("f", "u", "v", 2, 3),
+            gbs.Edge("g", "u", "v", 3, 5),
+        )
+        with pytest.raises(SemanticError, match=message):
+            sp.validate_graph(sp.LabeledGraph(("u", "v"), edges, None, tree))
+
+    def test_given_tree_with_cycle_cannot_span(self):
+        # V-1 edges, but two of them close a cycle and w is cut off
+        edges = (
+            gbs.Edge("f", "u", "v", 2, 3),
+            gbs.Edge("g", "u", "v", 3, 5),
+            gbs.Edge("h", "v", "w", 2, 2),
+        )
+        with pytest.raises(SemanticError, match="does not reach vertex 'w'"):
+            sp.validate_graph(sp.LabeledGraph(("u", "v", "w"), edges, None, ("f", "g")))
+
+    def test_tree_path_through_common_ancestor(self):
+        # star rooted at c: the path between two leaves goes up, then down
+        g = sp.graph(
+            ("c", "x", "y"),
+            (("p", "c", "x", 2, 3), ("q", "y", "c", 2, 3)),
+        )
+        assert gbs.tree_path(g, "x", "y") == [Cross("p", -1), Cross("q", -1)]
+        assert gbs.tree_path(g, "y", "y") == []
+
+
 class TestWords:
     def test_path_consistency(self, m3):
         w = W(m3, ("t", "f", 1))
@@ -63,6 +129,18 @@ class TestWords:
         assert kinds == ["Cross", "Cross", "Cross"]
         assert w.items[0] == Cross("f", 1)
         assert w.items[-1] == Cross("f", -1)
+
+    def test_unknown_vertex_named(self, bs23):
+        with pytest.raises(InvalidPath, match="unknown vertex 'zz'"):
+            W(bs23, ("a", "zz", 1))
+
+    def test_unknown_edge_named(self, bs23):
+        with pytest.raises(InvalidPath, match="unknown edge 'nope'"):
+            W(bs23, ("t", "nope", 1))
+
+    def test_unknown_base_named(self, bs23):
+        with pytest.raises(InvalidPath, match="unknown vertex 'zz'"):
+            sp.make_word(bs23, (("a", "v", 1),), base="zz")
 
     def test_concat_inverse_power(self, bs23):
         t = W(bs23, ("t", "e", 1))
@@ -117,6 +195,16 @@ class TestBrittonReduce:
         # t^-1 a^3 t = a^2 : cyclic form of a^3 conjugated
         w = W(bs23, ("t", "e", -1), ("a", "v", 3), ("t", "e", 1))
         assert sp.is_elliptic(bs23, w)
+
+    def test_long_conjugate_keeps_length(self, bs23):
+        # t^n (t a) t^-n: n wrap pinches peel off one pair at a time
+        n = 4000
+        letters = (("t", "e", 1),) * (n + 1) + (("a", "v", 1),) + (("t", "e", -1),) * n
+        w = W(bs23, *letters)
+        ta = W(bs23, ("t", "e", 1), ("a", "v", 1))
+        assert sp.translation_length(bs23, w) == sp.translation_length(bs23, ta) == 1
+        nf = sp.britton_reduce(bs23, w)
+        assert nf.crossing_sequence == ("e",) and not nf.cyclically_reduced
 
 
 class TestTranslationLength:

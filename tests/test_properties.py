@@ -4,7 +4,8 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import splittings as sp
-from splittings import tree_arithmetic as ta
+from splittings import gbs, tree_arithmetic as ta
+from splittings.gbs import Cross, Edge
 from splittings.orbifold import B, M, BoundaryCircle, Orbifold2
 
 from conftest import make_m3
@@ -60,6 +61,84 @@ def test_inverse_preserves_length(w):
     assert sp.translation_length(M3, sp.inverse(w)) == sp.translation_length(
         M3, w
     )
+
+
+# -- random connected GBS graphs ---------------------------------------------
+
+LABELS = st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4, 6))
+
+
+@st.composite
+def gbs_graphs(draw):
+    """Connected graphs on 1-5 vertices: a random tree plus up to 3 extra
+    edges (loops and parallel edges allowed), in shuffled order so the
+    default spanning tree varies, with a random base vertex."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+    edges = []
+    for i in range(1, len(vs)):
+        a, b = vs[draw(st.integers(0, i - 1))], vs[i]
+        if draw(st.booleans()):
+            a, b = b, a
+        edges.append(Edge(f"s{i}", a, b, draw(LABELS), draw(LABELS)))
+    for k in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(vs)), draw(st.sampled_from(vs))
+        edges.append(Edge(f"x{k}", a, b, draw(LABELS), draw(LABELS)))
+    edges = draw(st.permutations(edges))
+    base = draw(st.sampled_from(vs))
+    return sp.validate_graph(sp.LabeledGraph(tuple(vs), tuple(edges), base))
+
+
+@st.composite
+def graph_with_words(draw, count):
+    g = draw(gbs_graphs())
+    return g, [sp.make_word(g, tuple(draw(letters_for(g)))) for _ in range(count)]
+
+
+@given(gbs_graphs())
+def test_validate_returns_indexed_graph(g):
+    assert sp.validate_graph(g) is g
+
+
+@given(gbs_graphs(), st.data())
+def test_tree_paths_cancel(g, data):
+    u = data.draw(st.sampled_from(g.vertices))
+    v = data.draw(st.sampled_from(g.vertices))
+    there = gbs.tree_path(g, u, v)
+    back = gbs.tree_path(g, v, u)
+    assert {c.edge for c in there} <= set(g.spanning_tree)
+    assert back == [Cross(c.edge, -c.sign) for c in reversed(there)]
+    loop = sp.GroupWord(u, tuple(there + back))
+    assert sp.britton_reduce(g, loop).word.items == ()
+
+
+@given(graph_with_words(2))
+def test_length_core_matches_normal_form(gw):
+    g, (w, c) = gw
+    nf = sp.britton_reduce(g, w)
+    ell = sp.translation_length(g, w)
+    assert ell == len(nf.crossing_sequence)
+    assert tuple(sp.crossing_sequence(g, w)) == nf.crossing_sequence
+    conj = sp.concat(sp.concat(c, w), sp.inverse(c))
+    assert sp.translation_length(g, conj) == ell
+
+
+@given(graph_with_words(2))
+def test_cyclic_form_has_no_pinch(gw):
+    # checked on the cyclic word itself, independently of the reduction:
+    # no cyclic adjacency c, a^p, c^-1 with p divisible by the label
+    g, (w, c) = gw
+    conj = sp.concat(sp.concat(c, w), sp.inverse(c))
+    pairs = []
+    for item in sp.britton_reduce(g, conj).cyclic_word.items:
+        if isinstance(item, Cross):
+            pairs.append([item, 0])
+        elif pairs:
+            pairs[-1][1] += item.n
+    for i, (ci, p) in enumerate(pairs):
+        cj = pairs[(i + 1) % len(pairs)][0]
+        e = g.edge(cj.edge)
+        d = e.lam if cj.sign > 0 else e.mu
+        assert not (cj == Cross(ci.edge, -ci.sign) and p % d == 0)
 
 
 HYPERBOLIC_POOL = [
