@@ -27,7 +27,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Container, Iterable, Iterator, Optional, Union
+from typing import Container, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     Disconnected,
@@ -88,7 +88,7 @@ class LabeledGraph:
     )
 
     def edge(self, eid: str) -> Edge:
-        e = _indexed(self).index.edges.get(eid)
+        e = validate_graph(self).index.edges.get(eid)
         if e is None:
             raise SemanticError(f"no edge named {eid!r}")
         return e
@@ -145,11 +145,6 @@ def _breadth_first(
                 reached[b] = c
                 queue.append(b)
     return reached
-
-
-def _indexed(g: LabeledGraph) -> LabeledGraph:
-    """g itself when already indexed, else its validated form."""
-    return g if g.index is not None else validate_graph(g)
 
 
 def validate_graph(g: LabeledGraph) -> LabeledGraph:
@@ -256,17 +251,12 @@ def _dep_label(g: LabeledGraph, c: Cross) -> int:
     return e.lam if c.sign > 0 else e.mu
 
 
-def _arr_label(g: LabeledGraph, c: Cross) -> int:
-    e = g.edge(c.edge)
-    return e.mu if c.sign > 0 else e.lam
-
-
 def validate_word(g: LabeledGraph, w: GroupWord) -> GroupWord:
     """Check path-consistency: each item departs from the vertex where the
     previous one ends, and the path closes up at the base."""
     if not g.has_vertex(w.base):
         raise InvalidPath(f"base {w.base!r} is not a vertex")
-    edges = _indexed(g).index.edges
+    edges = validate_graph(g).index.edges
     cur = w.base
     for item in w.items:
         if isinstance(item, Pow):
@@ -314,7 +304,7 @@ def power(w: GroupWord, n: int) -> GroupWord:
 def tree_path(g: LabeledGraph, frm: str, to: str) -> list[Cross]:
     """Crossings along the spanning tree from one vertex to another: up from
     frm to the lowest common ancestor, then down to `to`."""
-    g = _indexed(g)
+    g = validate_graph(g)
     parent, depth = g.index.parent, g.index.depth
     for v in (frm, to):
         if v not in depth:
@@ -340,7 +330,7 @@ def make_word(g: LabeledGraph, letters: Iterable[tuple], base: Optional[str] = N
     """Build a closed word from surface letters, routing each letter through
     the spanning tree: a[v]^n conjugates a vertex power to the base, t[e]
     crosses e between tree connectors."""
-    g = _indexed(g)
+    g = validate_graph(g)
     b = base if base is not None else g.base
     items: list[Item] = []
     for kind, name, k in letters:
@@ -379,7 +369,6 @@ class NormalForm:
 
     word: GroupWord
     cyclic_word: GroupWord
-    britton_reduced: bool
     cyclically_reduced: bool
     crossing_sequence: tuple[str, ...]
 
@@ -474,7 +463,6 @@ def britton_reduce(g: LabeledGraph, w: GroupWord) -> NormalForm:
     return NormalForm(
         word=_word_from_linear(w.base, linear),
         cyclic_word=_word_from_cyclic(g, pairs, res_v, res_p),
-        britton_reduced=True,
         cyclically_reduced=(len(linear) - 1 == len(pairs)),
         crossing_sequence=tuple([c.edge for c, _ in pairs]),
     )
@@ -573,10 +561,10 @@ def irreducibility_witness(
     seen: set[tuple] = set()
     for letters in _letter_words(g, L):
         w = make_word(g, letters)
-        nf = britton_reduce(g, w)
-        if not nf.crossing_sequence:
+        _, linear, (pairs, _, _) = _reduce(g, w)
+        if not pairs:
             continue
-        key = (nf.word.base, nf.word.items)
+        key = tuple(linear)  # the Britton-reduced word; every base is g.base
         if key in seen:
             continue  # same group element as an earlier candidate
         seen.add(key)
@@ -594,12 +582,14 @@ def modular_homomorphism(g: LabeledGraph, w: GroupWord) -> Fraction:
     powers."""
     g = validate_graph(g)
     validate_word(g, w)
-    q = Fraction(1)
+    edges = g.index.edges
+    num = den = 1
     for item in w.items:
         if isinstance(item, Cross):
-            e = g.edge(item.edge)
-            q *= Fraction(e.lam, e.mu) if item.sign > 0 else Fraction(e.mu, e.lam)
-    return q
+            e = edges[item.edge]
+            num *= e.lam if item.sign > 0 else e.mu
+            den *= e.mu if item.sign > 0 else e.lam
+    return Fraction(num, den)
 
 
 # -- reduction moves and classification ----------------------------------------------
@@ -795,27 +785,34 @@ def jsj_report(g: LabeledGraph) -> Report:
 Step = tuple[Cross, int]
 
 
-def _normalize_steps(g: LabeledGraph, base: str, items: Iterable[Item]) -> tuple[Step, ...]:
+def _normalize_steps(
+    g: LabeledGraph, items: Iterable[Item], steps: Iterable[Step] = (), pending: int = 0
+) -> tuple[list[Step], int, int]:
     """Left-to-right normalization of a path word into the canonical coset
     path of its endpoint vertex: each step (crossing, r) records the coset
     exponent r in [0, |departure label|) and quotients carry across the
-    edge; a zero-coset step onto the reversed previous edge backtracks."""
-    steps: list[Step] = []
-    pending = 0
+    edge; a zero-coset step onto the reversed previous edge backtracks.
+    Resumes from a state (steps, pending power) and returns the new state
+    with the deepest step count reached on the way."""
+    edges = g.index.edges
+    steps = list(steps)
+    reach = len(steps)
     for item in items:
         if isinstance(item, Pow):
             pending += item.n
             continue
-        d = _dep_label(g, item)
+        e = edges[item.edge]
+        d, a = (e.lam, e.mu) if item.sign > 0 else (e.mu, e.lam)
         r = pending % abs(d)
         q = (pending - r) // d
         if steps and r == 0 and steps[-1][0] == _rev(item):
-            prev_c, prev_r = steps.pop()
-            pending = prev_r + q * _arr_label(g, item)
+            _, prev_r = steps.pop()
+            pending = prev_r + q * a
         else:
             steps.append((item, r))
-            pending = q * _arr_label(g, item)
-    return tuple(steps)
+            pending = q * a
+            reach = max(reach, len(steps))
+    return steps, pending, reach
 
 
 def _steps_items(g: LabeledGraph, steps: Iterable[Step]) -> list[Item]:
@@ -827,7 +824,7 @@ def _steps_items(g: LabeledGraph, steps: Iterable[Step]) -> list[Item]:
     return items
 
 
-def _tree_distance(x: tuple[Step, ...], y: tuple[Step, ...]) -> int:
+def _tree_distance(x: Sequence[Step], y: Sequence[Step]) -> int:
     common = 0
     for a, b in zip(x, y):
         if a != b:
@@ -860,28 +857,6 @@ def _ball(g: LabeledGraph, base: str, radius: int, max_vertices: int) -> list[tu
     return vertices
 
 
-def _word_reach(g: LabeledGraph, w: GroupWord) -> int:
-    """Maximum distance from the base coset over the word's prefix path."""
-    steps: list[Step] = []
-    pending = 0
-    reach = 0
-    for item in w.items:
-        if isinstance(item, Pow):
-            pending += item.n
-            continue
-        d = _dep_label(g, item)
-        r = pending % abs(d)
-        q = (pending - r) // d
-        if steps and r == 0 and steps[-1][0] == _rev(item):
-            _, prev_r = steps.pop()
-            pending = prev_r + q * _arr_label(g, item)
-        else:
-            steps.append((item, r))
-            pending = q * _arr_label(g, item)
-        reach = max(reach, len(steps))
-    return reach
-
-
 @dataclass(frozen=True)
 class OracleResult:
     value: int
@@ -898,29 +873,36 @@ class OracleResult:
 def ball_displacement_oracle(
     g: LabeledGraph, w: GroupWord, radius: int, max_vertices: int = 512
 ) -> OracleResult:
-    """Independent translation-length computation from tree geometry: over
-    an enumerated (truncated) ball, take the minimum of
-    max(d(x, w^2 x) - d(x, w x), 0), which equals the translation length at
-    every single vertex. The validity flag is set when the radius exceeds
-    the word's reach plus the computed value."""
+    """Independent translation-length computation from tree geometry:
+    max(d(x, w^2 x) - d(x, w x), 0) equals the translation length at every
+    vertex x. w and w^2 are normalized once and each vertex of the
+    (truncated) ball resumes from them; the value is read at the base, and a
+    vertex that disagrees raises IdentityViolation. The validity flag is set
+    when the radius exceeds the word's reach plus the computed value."""
     g = validate_graph(g)
     validate_word(g, w)
-    w_items = list(w.items)
+    w_steps, w_pending, reach = _normalize_steps(g, w.items)
+    ww_steps, ww_pending, _ = _normalize_steps(g, w.items, w_steps, w_pending)
     ball = _ball(g, w.base, radius, max_vertices)
-    best: Optional[int] = None
+    value: Optional[int] = None
     for x in ball:
         x_items = _steps_items(g, x)
-        wx = _normalize_steps(g, w.base, w_items + x_items)
-        wwx = _normalize_steps(g, w.base, w_items + w_items + x_items)
+        wx, _, _ = _normalize_steps(g, x_items, w_steps, w_pending)
+        wwx, _, _ = _normalize_steps(g, x_items, ww_steps, ww_pending)
         f = max(_tree_distance(x, wwx) - _tree_distance(x, wx), 0)
-        best = f if best is None else min(best, f)
-    assert best is not None
-    reach = _word_reach(g, w)
-    valid = radius > reach + best
+        if value is None:
+            value = f
+        elif f != value:
+            raise IdentityViolation(
+                f"displacement {f} at ball vertex {len(x)} steps out"
+                f" disagrees with {value} at the base"
+            )
+    assert value is not None
+    valid = radius > reach + value
     reason = "" if valid else (
-        f"radius {radius} does not exceed reach {reach} + value {best}"
+        f"radius {radius} does not exceed reach {reach} + value {value}"
     )
-    return OracleResult(best, valid, radius, reach, len(ball), reason)
+    return OracleResult(value, valid, radius, reach, len(ball), reason)
 
 
 # -- seeded word sampling ------------------------------------------------------------

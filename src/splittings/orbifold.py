@@ -403,9 +403,10 @@ def _circle_multisets(shapes, costs, max_cost, start=0):
 def enumerate_orbifolds(budget: int) -> list[Orbifold2]:
     """All normalized orbifolds with 1 <= feature count <= budget and cone
     and corner orders <= budget, duplicate-free up to the cyclic and
-    reflective symmetry of mixed boundary words."""
+    reflective symmetry of mixed boundary words. Rows are built already in
+    validate's normal form (cones and circle multisets come out sorted, and
+    _circle_shapes yields each canonical circle once), so each appears once."""
     out = []
-    seen = set()
     shapes = _circle_shapes(budget, budget)
     costs = [1 + len(c.word) for c in shapes]
     orders = list(range(2, budget + 1))
@@ -423,11 +424,7 @@ def enumerate_orbifolds(budget: int) -> list[Orbifold2]:
                     rem = rem_g - ncones
                     for circles in _circle_multisets(shapes, costs, rem):
                         o = Orbifold2(orientable, genus, tuple(cones), circles)
-                        o = validate(o)
-                        if feature_count(o) < 1:
-                            continue
-                        if o not in seen:
-                            seen.add(o)
+                        if feature_count(o) >= 1:
                             out.append(o)
     out.sort(
         key=lambda o: (

@@ -284,6 +284,26 @@ class TestHostileInput:
         assert code == 1
         assert "length bound" in err
 
+    def test_keepless_lattice_over_cap_exit_1(self, tmp_path):
+        n = cli_io.LATTICE_MAX_EDGES + 1
+        p = tmp_path / "loops.txt"
+        p.write_text("[master]\n" + "".join(
+            f"edge e{i}: v(2) -- v(3)\n" for i in range(n)
+        ))
+        code, out, err = run("lattice", "verify", str(p))
+        assert code == 1 and out == ""
+        assert f"E = {n}" in err and "LATTICE_MAX_EDGES" in err and "keep" in err
+
+    def test_keepless_m3_under_cap(self, tmp_path):
+        lines = (INPUTS / "m3.txt").read_text().splitlines(keepends=True)
+        p = tmp_path / "m3_all.txt"
+        p.write_text("".join(l for l in lines if not l.startswith("keep")))
+        code, out, _ = run("lattice", "verify", str(p), "--json")
+        assert code == 0
+        values = json.loads(out)["values"]
+        assert (values["collapses"], values["pairs"]) == ("8", "28")
+        assert values["failures"] == "0"
+
     @pytest.mark.parametrize(
         "text, line",
         [

@@ -2,10 +2,16 @@
 definition on the coset model of the tree; these tests freeze small cases
 worked by hand and then cross-check the Britton computation wholesale."""
 
+import io
+
 import pytest
 
 import splittings as sp
+from splittings import cli_io, gbs
+from splittings.errors import IdentityViolation
 from splittings.gbs import _ball, _tree_distance, _normalize_steps
+
+from conftest import INPUTS
 
 
 def W(g, *letters):
@@ -31,7 +37,7 @@ class TestCosetModel:
 
     def test_normalize_inverse_cancels(self, bs23):
         w = W(bs23, ("t", "e", 1), ("t", "e", -1))
-        assert _normalize_steps(bs23, "v", w.items) == ()
+        assert _normalize_steps(bs23, w.items)[0] == []
 
 
 class TestOracleValues:
@@ -69,6 +75,33 @@ class TestOracleValues:
     def test_int_conversion(self, bs12):
         res = sp.ball_displacement_oracle(bs12, W(bs12, ("t", "e", 1)), 4)
         assert int(res) == 1
+
+
+class TestBallCheck:
+    """The value is read at the base and every other ball vertex must agree,
+    so a fault that shows at a single non-base vertex is caught."""
+
+    @pytest.fixture
+    def one_wrong_vertex(self, bs23, monkeypatch):
+        target = _ball(bs23, "v", 1, 64)[1]
+        real = gbs._tree_distance
+
+        def mutant(x, y):
+            return real(x, y) * (2 if x == target else 1)
+
+        monkeypatch.setattr(gbs, "_tree_distance", mutant)
+
+    def test_oracle_raises(self, bs23, one_wrong_vertex):
+        w = W(bs23, ("a", "v", 1), ("t", "e", 1), ("a", "v", 1), ("t", "e", 1))
+        with pytest.raises(IdentityViolation):
+            sp.ball_displacement_oracle(bs23, w, 4)
+
+    def test_cli_exits_2(self, one_wrong_vertex):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["gbs", "length", str(INPUTS / "bs23.txt"), "--word", "atat",
+                "--oracle", "10"]
+        assert cli_io.run(argv, stdout=out, stderr=err) == 2
+        assert "identity violation" in err.getvalue()
 
 
 class TestAgreement:

@@ -294,3 +294,11 @@ class TestEnumerate:
     def test_all_validated(self):
         for o in sp.enumerate_orbifolds(3):
             assert sp.validate(o) == o
+
+    def test_no_duplicates_budget_5(self):
+        orbs = sp.enumerate_orbifolds(5)
+        assert len(orbs) == len(set(orbs)) == 1445
+
+    def test_all_validated_budget_5(self):
+        for o in sp.enumerate_orbifolds(5):
+            assert sp.validate(o) == o

@@ -168,6 +168,14 @@ def test_oracle_agrees_when_valid(w):
         assert res.value == sp.translation_length(BS12, w)
 
 
+@given(graph_with_words(1))
+def test_oracle_agrees_on_random_graphs(gw):
+    g, (w,) = gw
+    res = sp.ball_displacement_oracle(g, w, 8)
+    if res.valid:
+        assert res.value == sp.translation_length(g, w)
+
+
 # -- modular homomorphism ----------------------------------------------------
 
 @given(words_for(M3), words_for(M3))

@@ -1,0 +1,34 @@
+"""Each experiment script in scripts/ runs to completion on tiny arguments."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("enumerate_small.py", ["--budget", "3"]),
+        ("oracle_agreement.py", ["--words", "5"]),
+        ("collapse_lattice.py", ["--words", "10"]),
+    ],
+)
+def test_script_exits_0(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
