@@ -91,17 +91,23 @@ def _err(msg: str, line: int, column: int = 1) -> DocumentSyntaxError:
     return DocumentSyntaxError(msg, line, column)
 
 
-def parse_letters(text: str, line: int = 0) -> Letters:
-    """Surface word syntax: a[v], a[v]^n, t[e], t[e]^-1."""
+def parse_letters(text: str, line: Optional[int] = None) -> Letters:
+    """Surface word syntax: a[v], a[v]^n, t[e], t[e]^-1. A bad letter is a
+    syntax error at the given document line; without a line the text came
+    from the --word flag, and the error names it."""
+
+    def bad(msg: str) -> SplittingsError:
+        return SemanticError(f"--word: {msg}") if line is None else _err(msg, line)
+
     letters = []
     for tok in text.split():
         m = _LETTER_RE.match(tok)
         if not m:
-            raise _err(f"bad word letter {tok!r}", line)
+            raise bad(f"bad word letter {tok!r}")
         kind, name, exp = m.group(1), m.group(2), m.group(3)
         k = int(exp) if exp is not None else 1
         if kind == "t" and k not in (1, -1):
-            raise _err(f"crossing exponent must be +-1 in {tok!r}", line)
+            raise bad(f"crossing exponent must be +-1 in {tok!r}")
         if k != 0:
             letters.append((kind, name, k))
     return tuple(letters)

@@ -518,56 +518,49 @@ def axis_gap(g: LabeledGraph, w1: GroupWord, w2: GroupWord) -> AxisGap:
     )
 
 
-def _letters(g: LabeledGraph) -> list[tuple]:
-    out: list[tuple] = []
-    for v in g.vertices:
-        out.append(("a", v, 1))
-        out.append(("a", v, -1))
-    for e in g.edges:
-        out.append(("t", e.id, 1))
-        out.append(("t", e.id, -1))
-    return out
-
-
-def _inverse_letter(x: tuple) -> tuple:
-    return (x[0], x[1], -x[2])
-
-
-def _letter_words(g: LabeledGraph, max_len: int) -> Iterator[tuple]:
-    """Freely reduced letter strings of length 1..max_len, shortest first."""
-    alphabet = _letters(g)
+def _elements(g: LabeledGraph, max_len: int) -> Iterator[tuple[GroupWord, list[str]]]:
+    """The walk shared by the word searches: each group element spelled by
+    a freely reduced letter string of length 1..max_len, once, with its
+    cyclic crossing ids. Strings go shortest first, in alphabet order
+    (a[v]^+-1 per vertex, then t[e]^+-1 per edge), and the first string to
+    reach an element yields its word. Elements are keyed by their coset
+    normal form, the state of _normalize_steps, which two words share
+    exactly when they are equal."""
+    g = validate_graph(g)
+    alphabet = [("a", v, k) for v in g.vertices for k in (1, -1)]
+    alphabet += [("t", e.id, k) for e in g.edges for k in (1, -1)]
+    seen: set[tuple] = set()
     level: list[tuple] = [()]
     for _ in range(max_len):
-        nxt = []
-        for w in level:
-            for x in alphabet:
-                if w and w[-1] == _inverse_letter(x):
-                    continue
-                nxt.append(w + (x,))
-        for w in nxt:
-            yield w
-        level = nxt
+        level = [
+            s + (x,)
+            for s in level
+            for x in alphabet
+            if not s or s[-1] != (x[0], x[1], -x[2])
+        ]
+        for letters in level:
+            w = make_word(g, letters)
+            steps, pending, _ = _normalize_steps(g, w.items)
+            key = (tuple(steps), pending)
+            if key not in seen:
+                seen.add(key)
+                _, _, (pairs, _, _) = _reduce(g, w)
+                yield w, [c.edge for c, _ in pairs]
 
 
 def irreducibility_witness(
     g: LabeledGraph, L: Optional[int] = None
 ) -> Optional[tuple[GroupWord, GroupWord]]:
-    """Search letter words of length <= L for hyperbolic w1, w2 whose
-    commutator is hyperbolic; finding one certifies irreducibility, finding
-    none only exhausts the budget (a semi-decision)."""
+    """Search the group elements spelled by letter words of length <= L,
+    each once (a word spelling an element already tried is skipped), for
+    hyperbolic w1, w2 whose commutator is hyperbolic; finding one certifies
+    irreducibility, finding none only exhausts the budget (a
+    semi-decision)."""
     g = validate_graph(g)
-    L = search_budget(L)
     pool: list[GroupWord] = []
-    seen: set[tuple] = set()
-    for letters in _letter_words(g, L):
-        w = make_word(g, letters)
-        _, linear, (pairs, _, _) = _reduce(g, w)
-        if not pairs:
+    for w, seq in _elements(g, search_budget(L)):
+        if not seq:
             continue
-        key = tuple(linear)  # the Britton-reduced word; every base is g.base
-        if key in seen:
-            continue  # same group element as an earlier candidate
-        seen.add(key)
         for w1 in pool:
             comm = concat(concat(w1, w), concat(inverse(w1), inverse(w)))
             if not is_elliptic(g, comm):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import gbs
-from .errors import IdentityViolation, SemanticError
+from .errors import SemanticError
 from .gbs import GroupWord, LabeledGraph
 
 
@@ -94,47 +94,37 @@ def verify_modularity(
 def squarefree_witnesses(
     m: MasterSplitting, K: CollapseTree, L: Optional[int] = None
 ) -> dict[frozenset[CollapseTree], Optional[GroupWord]]:
-    """For each unordered pair of distinct prime factors of K, search letter
-    words of length <= L for one separating their length functions. Pairs
-    left unwitnessed within the budget map to None (a semi-decision; the
-    distinctness of prime factors guarantees a witness exists)."""
+    """For each unordered pair of distinct prime factors of K, search the
+    group elements spelled by letter words of length <= L, each once, for
+    one separating their length functions. Pairs left unwitnessed within
+    the budget map to None (a semi-decision; the distinctness of prime
+    factors guarantees a witness exists)."""
     L = gbs.search_budget(L)
     primes = sorted(prime_factors(K), key=lambda p: sorted(p.kept))
-    pending: dict[frozenset[CollapseTree], Optional[GroupWord]] = {}
-    for i in range(len(primes)):
-        for j in range(i + 1, len(primes)):
-            pending[frozenset((primes[i], primes[j]))] = None
-    if not pending:
-        return {}
-    remaining = set(pending)
-    for letters in gbs._letter_words(m.graph, L):
-        w = gbs.make_word(m.graph, letters)
-        seq = gbs.crossing_sequence(m.graph, w)
-        for pair in list(remaining):
-            p1, p2 = sorted(pair, key=lambda p: sorted(p.kept))
-            l1 = sum(1 for e in seq if e in p1.kept)
-            l2 = sum(1 for e in seq if e in p2.kept)
-            if l1 != l2:
-                pending[pair] = w
-                remaining.discard(pair)
+    remaining = {
+        frozenset((p1, p2)): (p1.kept, p2.kept)
+        for i, p1 in enumerate(primes)
+        for p2 in primes[i + 1:]
+    }
+    witnesses = dict.fromkeys(remaining)
+    if not remaining:
+        return witnesses
+    for w, seq in gbs._elements(m.graph, L):
+        for pair, (k1, k2) in list(remaining.items()):
+            if sum(e in k1 for e in seq) != sum(e in k2 for e in seq):
+                witnesses[pair] = w
+                del remaining[pair]
         if not remaining:
             break
-    return pending
+    return witnesses
 
 
 def elliptic_in_lcm(
     m: MasterSplitting, w: GroupWord, Ks: list[CollapseTree]
 ) -> bool:
-    """Whether w is elliptic in the lcm of the given collapses; asserts the
-    equivalence with being elliptic in every factor before returning."""
+    """Whether w is elliptic in the lcm of the given collapses."""
     if not Ks:
         raise SemanticError("elliptic_in_lcm needs at least one collapse")
     seq = gbs.crossing_sequence(m.graph, w)
     union = frozenset().union(*(K.kept for K in Ks))
-    in_lcm = all(e not in union for e in seq)
-    in_each = all(all(e not in K.kept for e in seq) for K in Ks)
-    if in_lcm != in_each:
-        raise IdentityViolation(
-            "ellipticity in the lcm disagreed with per-factor ellipticity"
-        )
-    return in_lcm
+    return all(e not in union for e in seq)

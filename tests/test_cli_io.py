@@ -361,6 +361,21 @@ class TestHostileInput:
         assert code == 1
         assert message in err
 
+    @pytest.mark.parametrize(
+        "word, message",
+        [("zz", "bad word letter 'zz'"), ("t[e]^0", "crossing exponent")],
+    )
+    def test_bad_word_flag_names_the_flag(self, word, message):
+        code, out, err = run("gbs", "length", str(INPUTS / "bs23.txt"), "--word", word)
+        assert code == 1 and out == ""
+        assert "--word" in err and message in err
+        assert "line 0" not in err
+
+    def test_bad_document_word_keeps_its_line(self):
+        with pytest.raises(DocumentSyntaxError) as exc:
+            cli_io.parse("[gbs]\nedge e: v(2) -- v(3)\nword w = zz\n")
+        assert exc.value.line == 3
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

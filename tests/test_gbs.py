@@ -278,8 +278,46 @@ class TestIrreducibility:
     def test_abelian_loop_has_none(self, bs11):
         assert sp.irreducibility_witness(bs11, 5) is None
 
+    def test_elementary_loops_have_none_deeper(self, bs11, bs12):
+        # every commutator is elliptic in Z^2 and in BS(1,2)
+        assert sp.irreducibility_witness(bs11, 6) is None
+        assert sp.irreducibility_witness(bs12, 5) is None
+
     def test_zero_budget(self, bs23):
         assert sp.irreducibility_witness(bs23, 0) is None
+
+
+class TestElementSearch:
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_z2_elements_fill_the_l1_ball(self, bs11, L):
+        # BS(1,1) = Z^2 = <a, t>: letter strings of length <= L reach the
+        # 2L(L+1) nonzero points of the L^1 ball of radius L, and the
+        # identity once L >= 4 (first spelled a t a^-1 t^-1)
+        yielded = list(gbs._elements(bs11, L))
+        assert len(yielded) == 2 * L * (L + 1) + (L >= 4)
+        points = set()
+        for w, _ in yielded:
+            x = sum(i.n for i in w.items if isinstance(i, Pow))
+            y = sum(i.sign for i in w.items if isinstance(i, Cross))
+            assert abs(x) + abs(y) <= L
+            points.add((x, y))
+        assert len(points) == len(yielded)
+
+    def test_first_spelling_wins(self, bs11):
+        words = [w for w, _ in gbs._elements(bs11, 2)]
+        assert words[:4] == [
+            W(bs11, ("a", "v", 1)),
+            W(bs11, ("a", "v", -1)),
+            W(bs11, ("t", "e", 1)),
+            W(bs11, ("t", "e", -1)),
+        ]
+        # t a is a t in Z^2, so only a t is yielded
+        assert W(bs11, ("a", "v", 1), ("t", "e", 1)) in words
+        assert W(bs11, ("t", "e", 1), ("a", "v", 1)) not in words
+
+    def test_crossing_ids_are_the_length_core(self, m3):
+        for w, seq in gbs._elements(m3, 3):
+            assert seq == sp.crossing_sequence(m3, w)
 
 
 class TestModularHomomorphism:

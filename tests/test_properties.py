@@ -122,6 +122,29 @@ def test_length_core_matches_normal_form(gw):
     assert sp.translation_length(g, conj) == ell
 
 
+@given(graph_with_words(2), st.data())
+def test_element_key_is_exact(gw, data):
+    # the element key of gbs._elements: the coset normal form.
+    # Words share it exactly when w1 w2^-1 Britton-reduces to nothing; a
+    # relator r = t a^mu t^-1 a^-lam of a random edge gives equal pairs.
+    g, (w1, w2) = gw
+    relator = ()
+    if g.edges:
+        e = data.draw(st.sampled_from(g.edges))
+        relator = (("t", e.id, 1), ("a", e.terminus, e.mu),
+                   ("t", e.id, -1), ("a", e.origin, -e.lam))
+    r = sp.make_word(g, relator)
+
+    def key(w):
+        steps, pending, _ = gbs._normalize_steps(g, w.items)
+        return tuple(steps), pending
+
+    for u in (w2, sp.concat(r, w1), sp.concat(w1, r)):
+        identity = sp.britton_reduce(g, sp.concat(w1, sp.inverse(u))).word.items == ()
+        assert (key(w1) == key(u)) == identity
+    assert key(sp.concat(r, w1)) == key(w1)
+
+
 @given(graph_with_words(2))
 def test_cyclic_form_has_no_pinch(gw):
     # checked on the cyclic word itself, independently of the reduction:

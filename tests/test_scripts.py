@@ -1,4 +1,5 @@
-"""Each experiment script in scripts/ runs to completion on tiny arguments."""
+"""Each experiment script in scripts/ runs to completion on tiny arguments,
+and the package runs as a module."""
 
 import os
 import pathlib
@@ -32,3 +33,23 @@ def test_script_exits_0(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_module_entry_point():
+    # python -m splittings is the console script, without runpy's warning
+    # about re-running an already imported splittings.cli_io
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "splittings", "gbs", "length",
+         str(ROOT / "inputs" / "bs23.txt"), "--word", "t"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "length = 1" in proc.stdout
