@@ -54,12 +54,8 @@ LATTICE_MAX_EDGES = 6
 
 @dataclass(frozen=True)
 class GbsSpec:
-    graph: gbs.LabeledGraph
-    words: tuple[tuple[str, Letters], ...] = ()
+    """Payload of a [gbs] or [master] document; only [master] has keeps."""
 
-
-@dataclass(frozen=True)
-class MasterSpec:
     graph: gbs.LabeledGraph
     words: tuple[tuple[str, Letters], ...] = ()
     keeps: tuple[tuple[str, tuple[str, ...]], ...] = ()
@@ -185,7 +181,7 @@ def _parse_orbifold(body, name, comments) -> Document:
     return Document("orbifold", o, name, comments)
 
 
-def _parse_graph_lines(body, kind, name):
+def _parse_graph(body, kind, name, comments) -> Document:
     vertices: list[str] = []
     edges: list[gbs.Edge] = []
     words: list[tuple[str, Letters]] = []
@@ -235,22 +231,12 @@ def _parse_graph_lines(body, kind, name):
     g = gbs.validate_graph(
         gbs.LabeledGraph(tuple(vertices), tuple(edges), base, tree, name)
     )
-    return g, tuple(words), tuple(keeps), name
-
-
-def _parse_gbs(body, name, comments) -> Document:
-    g, words, _, name = _parse_graph_lines(body, "gbs", name)
-    return Document("gbs", GbsSpec(g, words), name, comments)
-
-
-def _parse_master(body, name, comments) -> Document:
-    g, words, keeps, name = _parse_graph_lines(body, "master", name)
     known = {e.id for e in g.edges}
     for kname, ids in keeps:
         for eid in ids:
             if eid not in known:
                 raise SemanticError(f"keep {kname!r} names unknown edge {eid!r}")
-    return Document("master", MasterSpec(g, words, keeps), name, comments)
+    return Document(kind, GbsSpec(g, tuple(words), tuple(keeps)), name, comments)
 
 
 def _parse_atlas(body, name, comments) -> Document:
@@ -266,14 +252,20 @@ def _parse_atlas(body, name, comments) -> Document:
             continue
         if head == "vertex":
             vid, _, label = rest.partition(":")
-            vertices.append(cyl.SkeletonVertex(vid.strip(), label.strip()))
+            vid = vid.strip()
+            if not re.fullmatch(_ID, vid):
+                raise _err(f"bad vertex id {vid!r}", line)
+            vertices.append(cyl.SkeletonVertex(vid, label.strip()))
             continue
         if head == "edge":
             eid, _, spec = rest.partition(":")
+            eid = eid.strip()
             parts = [p.strip() for p in spec.split(",")]
             m = re.fullmatch(rf"({_ID})\s*--\s*({_ID})", parts[0])
             if not m:
                 raise _err(f"bad atlas edge {text!r}", line)
+            if not re.fullmatch(_ID, eid):
+                raise _err(f"bad edge id {eid!r}", line)
             group = ""
             for extra in parts[1:]:
                 k, v = _split_kv(extra, line)
@@ -282,7 +274,7 @@ def _parse_atlas(body, name, comments) -> Document:
                 else:
                     raise _err(f"unknown edge attribute {k!r}", line)
             edges.append(
-                cyl.SkeletonEdge(eid.strip(), m.group(1), m.group(2), group)
+                cyl.SkeletonEdge(eid, m.group(1), m.group(2), group)
             )
             continue
         if head == "class":
@@ -352,10 +344,8 @@ def parse(text: str) -> Document:
     name = ""
     if section == "orbifold":
         return _parse_orbifold(body, name, tuple(comments))
-    if section == "gbs":
-        return _parse_gbs(body, name, tuple(comments))
-    if section == "master":
-        return _parse_master(body, name, tuple(comments))
+    if section in ("gbs", "master"):
+        return _parse_graph(body, section, name, tuple(comments))
     return _parse_atlas(body, name, tuple(comments))
 
 
@@ -384,10 +374,12 @@ def _serialize_orbifold(d: Document) -> list[str]:
     return lines
 
 
-def _serialize_graph(g: gbs.LabeledGraph, name: str, words, keeps) -> list[str]:
+def _serialize_graph(d: Document) -> list[str]:
+    spec: GbsSpec = d.payload
+    g = spec.graph
     lines = []
-    if name:
-        lines.append(f"name = {name}")
+    if d.name:
+        lines.append(f"name = {d.name}")
     for v in g.vertices:
         lines.append(f"vertex {v}")
     for e in g.edges:
@@ -396,9 +388,9 @@ def _serialize_graph(g: gbs.LabeledGraph, name: str, words, keeps) -> list[str]:
         lines.append(f"base = {g.base}")
     if g.spanning_tree:
         lines.append("tree = " + ", ".join(g.spanning_tree))
-    for wname, letters in words:
+    for wname, letters in spec.words:
         lines.append(f"word {wname} = {letters_text(letters)}")
-    for kname, ids in keeps:
+    for kname, ids in spec.keeps:
         lines.append(f"keep {kname} = " + ", ".join(ids))
     return lines
 
@@ -437,12 +429,8 @@ def serialize(d: Document) -> str:
     lines += [f"# {c}" for c in d.comments]
     if d.kind == "orbifold":
         lines += _serialize_orbifold(d)
-    elif d.kind == "gbs":
-        spec: GbsSpec = d.payload
-        lines += _serialize_graph(spec.graph, d.name, spec.words, ())
-    elif d.kind == "master":
-        mspec: MasterSpec = d.payload
-        lines += _serialize_graph(mspec.graph, d.name, mspec.words, mspec.keeps)
+    elif d.kind in ("gbs", "master"):
+        lines += _serialize_graph(d)
     elif d.kind == "atlas":
         lines += _serialize_atlas(d)
     else:
@@ -451,6 +439,11 @@ def serialize(d: Document) -> str:
 
 
 # -- DOT export ------------------------------------------------------------------
+
+def _dot_text(label: str) -> str:
+    """Free text inside a quoted DOT string; ids need no escaping."""
+    return label.replace("\\", "\\\\").replace('"', '\\"')
+
 
 def export_dot(g) -> str:
     """DOT text for a LabeledGraph (directed, edge labels "lam,mu"), a
@@ -466,10 +459,10 @@ def export_dot(g) -> str:
     if isinstance(g, cyl.SkeletonGraph):
         lines = ["graph G {"]
         for v in g.vertices:
-            label = f"{v.id}\\n{v.group}" if v.group else v.id
+            label = f"{v.id}\\n{_dot_text(v.group)}" if v.group else v.id
             lines.append(f'  "{v.id}" [label="{label}"];')
         for e in g.edges:
-            attr = f' [label="{e.group}"]' if e.group else ""
+            attr = f' [label="{_dot_text(e.group)}"]' if e.group else ""
             lines.append(f'  "{e.origin}" -- "{e.terminus}"{attr};')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -478,7 +471,7 @@ def export_dot(g) -> str:
         for v in g.v0:
             lines.append(f'  "{v}" [shape=circle];')
         for yid, label in g.v1:
-            text = f"{yid}\\n{label}" if label else yid
+            text = f"{yid}\\n{_dot_text(label)}" if label else yid
             lines.append(f'  "{yid}" [shape=box, label="{text}"];')
         for e in g.edges:
             lines.append(f'  "{e.v0}" -- "{e.cyl}" [label="{e.local_class}"];')
@@ -688,7 +681,7 @@ def _cmd_gbs_report(args, out: TextIO) -> int:
 def _cmd_lattice_verify(args, out: TextIO) -> int:
     doc, text = _read_document(args.file)
     _want(doc, ("master",))
-    spec: MasterSpec = doc.payload
+    spec: GbsSpec = doc.payload
     m = tree_arithmetic.master(spec.graph)
     if not spec.keeps and len(m.orbits) > LATTICE_MAX_EDGES:
         raise SemanticError(

@@ -17,7 +17,7 @@ vertex. Vertex orbits not in V0 are absorbed into their unique cylinder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Hashable, Iterable, Mapping, Optional
 
 from .errors import Disconnected, MissingFlag, SemanticError, UnclassedEnd
 
@@ -46,15 +46,6 @@ class SkeletonGraph:
 
     def vertex_ids(self) -> list[str]:
         return [v.id for v in self.vertices]
-
-    def incident_ends(self, v: str) -> list[End]:
-        out = []
-        for e in self.edges:
-            if e.origin == v:
-                out.append((e.id, "o"))
-            if e.terminus == v:
-                out.append((e.id, "t"))
-        return out
 
 
 @dataclass(frozen=True)
@@ -97,6 +88,24 @@ class QuotientGraph:
     absorbed: tuple[tuple[str, str], ...] = ()
 
 
+def _components(nodes: Iterable[Hashable], links: Iterable[tuple]) -> dict:
+    """Union-find: map each node to the least node of its component, where
+    components are the classes of the equivalence generated by links."""
+    parent = {n: n for n in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in links:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    return {n: find(n) for n in parent}
+
+
 def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
     """Structural checks plus the hypothesis manifest: the statements the
     user asserts and the computation cannot verify."""
@@ -105,31 +114,27 @@ def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
         raise SemanticError("duplicate vertex orbit id")
     if len({e.id for e in s.edges}) != len(s.edges):
         raise SemanticError("duplicate edge orbit id")
+    ends_at: dict[str, list[End]] = {v: [] for v in vids}
     for e in s.edges:
-        if e.origin not in vids or e.terminus not in vids:
+        if e.origin not in ends_at or e.terminus not in ends_at:
             raise SemanticError(f"edge {e.id} attached to an unknown vertex orbit")
-    if s.vertices:
-        seen = {vids[0]}
-        queue = [vids[0]]
-        while queue:
-            v = queue.pop(0)
-            for e in s.edges:
-                for x, y in ((e.origin, e.terminus), (e.terminus, e.origin)):
-                    if x == v and y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-        if seen != set(vids):
-            raise Disconnected("skeleton is not connected")
+        ends_at[e.origin].append((e.id, "o"))
+        ends_at[e.terminus].append((e.id, "t"))
+    root = _components(vids, ((e.origin, e.terminus) for e in s.edges))
+    if len(set(root.values())) > 1:
+        raise Disconnected("skeleton is not connected")
     keys = [c.key() for c in a.classes]
     if len(set(keys)) != len(keys):
         raise SemanticError("duplicate local class id at a vertex orbit")
+    vertex_of = {end: v for v, ends in ends_at.items() for end in ends}
     classed: dict[End, tuple[str, str]] = {}
     for c in a.classes:
-        if c.vertex not in vids:
+        if c.vertex not in ends_at:
             raise SemanticError(f"class at unknown vertex orbit {c.vertex!r}")
-        incident = set(s.incident_ends(c.vertex))
+        if not c.ends:
+            raise SemanticError(f"class {c.vertex}.{c.name} has no ends")
         for end in c.ends:
-            if end not in incident:
+            if vertex_of.get(end) != c.vertex:
                 raise SemanticError(
                     f"end {end} is not incident to vertex orbit {c.vertex!r}"
                 )
@@ -138,8 +143,8 @@ def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
             classed[end] = c.key()
         if c.plural is None:
             raise MissingFlag(f"class {c.key()} has no plural flag")
-    for v in vids:
-        for end in s.incident_ends(v):
+    for v, ends in ends_at.items():
+        for end in ends:
             if end not in classed:
                 raise UnclassedEnd(f"end {end} at {v!r} belongs to no local class")
     known_edges = {e.id for e in s.edges}
@@ -161,26 +166,13 @@ def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
 def cylinder_orbits(s: SkeletonGraph, a: CylinderAtlas) -> list[tuple[str, ...]]:
     """Partition of edge orbits into cylinder orbits: the components of
     "some ends lie in one local class"."""
-    parent = {e.id: e.id for e in s.edges}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: str, y: str) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for c in a.classes:
-        ids = [eid for eid, _ in c.ends]
-        for other in ids[1:]:
-            union(ids[0], other)
+    root = _components(
+        (e.id for e in s.edges),
+        ((c.ends[0][0], eid) for c in a.classes for eid, _ in c.ends[1:]),
+    )
     groups: dict[str, list[str]] = {}
     for e in s.edges:
-        groups.setdefault(find(e.id), []).append(e.id)
+        groups.setdefault(root[e.id], []).append(e.id)
     return [tuple(sorted(groups[r])) for r in sorted(groups)]
 
 
@@ -237,46 +229,38 @@ def collapse_non_A(
             raise MissingFlag(f"edge ({e.v0}, {e.local_class}) has no in_A flag")
         return e.in_A
 
-    nodes = [("V0", v) for v in q.v0] + [("V1", y) for y, _ in q.v1]
-    parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     keep: list[QEdge] = []
+    contracted = []
     for e in q.edges:
         if flag_of(e):
             keep.append(e)
         else:
-            rx, ry = find(("V0", e.v0)), find(("V1", e.cyl))
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
+            contracted.append((("V0", e.v0), ("V1", e.cyl)))
+    nodes = [("V0", v) for v in q.v0] + [("V1", y) for y, _ in q.v1]
+    root = _components(nodes, contracted)
     members: dict[tuple, list[tuple]] = {}
     for n in nodes:
-        members.setdefault(find(n), []).append(n)
+        members.setdefault(root[n], []).append(n)
     labels = dict(q.v1)
     new_id: dict[tuple, str] = {}
-    new_kind: dict[tuple, str] = {}
-    for root, mem in members.items():
-        names = sorted(name for _, name in mem)
-        nid = "+".join(names)
-        kind = "V1" if any(k == "V1" for k, _ in mem) else "V0"
+    v0: set[str] = set()
+    v1: dict[str, set[str]] = {}
+    for mem in members.values():
+        nid = "+".join(sorted(name for _, name in mem))
+        stabs = {labels[name] for kind, name in mem if kind == "V1"}
+        if stabs:
+            v1.setdefault(nid, set()).update(stabs)
+        else:
+            v0.add(nid)
         for n in mem:
             new_id[n] = nid
-            new_kind[n] = kind
-    v0 = sorted({new_id[n] for n in nodes if new_kind[n] == "V0"})
-    v1_ids = sorted({new_id[n] for n in nodes if new_kind[n] == "V1"})
-    v1 = []
-    for nid in v1_ids:
-        mem_labels = sorted(
-            {labels[name] for k, name in nodes if k == "V1" and new_id[("V1", name)] == nid}
-        )
-        v1.append((nid, ",".join(mem_labels)))
     edges = tuple(
         QEdge(new_id[("V0", e.v0)], e.local_class, new_id[("V1", e.cyl)], True)
         for e in keep
     )
-    return QuotientGraph(tuple(v0), tuple(v1), edges, ())
+    return QuotientGraph(
+        tuple(sorted(v0)),
+        tuple((nid, ",".join(sorted(v1[nid]))) for nid in sorted(v1)),
+        edges,
+        (),
+    )

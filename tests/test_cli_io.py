@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from splittings.errors import (
     DocumentSyntaxError,
     IdentityViolation,
     SemanticError,
+    SplittingsError,
     ZeroLabel,
 )
 
@@ -141,6 +143,26 @@ class TestExportDot:
         dot = cli_io.export_dot(d.payload.skeleton)
         assert dot.startswith("graph G {")
         assert dot.count("--") == 3
+
+    def test_free_text_labels_are_escaped(self):
+        d = cli_io.parse(
+            "[atlas]\n"
+            'vertex c: Z"] ; x [label="\n'
+            "vertex v: a\\b\n"
+            'edge e: c -- v, group = "Z"\n'
+            "class c.a: e.o, plural = false, in_A = true\n"
+            "class v.a: e.t, plural = false, in_A = true\n"
+            'cylinder e: Z"2\n'
+        )
+        assert cli_io.export_dot(d.payload.skeleton).splitlines()[1:4] == [
+            '  "c" [label="c\\nZ\\"] ; x [label=\\""];',
+            '  "v" [label="v\\na\\\\b"];',
+            '  "c" -- "v" [label="\\"Z\\""];',
+        ]
+        q = cyl.tree_of_cylinders_quotient(d.payload.skeleton, d.payload.atlas)
+        assert cli_io.export_dot(q).splitlines()[1] == (
+            '  "Y1" [shape=box, label="Y1\\nZ\\"2"];'
+        )
 
 
 class TestRun:
@@ -375,6 +397,88 @@ class TestHostileInput:
         with pytest.raises(DocumentSyntaxError) as exc:
             cli_io.parse("[gbs]\nedge e: v(2) -- v(3)\nword w = zz\n")
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ('[atlas]\nvertex "q": Z\n', 2, "bad vertex id"),
+            ('[atlas]\nvertex u\nedge "f": u -- u\n', 3, "bad edge id"),
+        ],
+    )
+    def test_bad_atlas_id_is_syntax_error(self, text, line, message, tmp_path):
+        with pytest.raises(DocumentSyntaxError, match=message) as exc:
+            cli_io.parse(text)
+        assert exc.value.line == line
+        p = tmp_path / "ids.txt"
+        p.write_text(text)
+        code, out, err = run("export", "dot", str(p), "--skeleton")
+        assert code == 1 and out == ""
+        assert f"line {line}" in err and message in err
+
+    @pytest.mark.parametrize("argv", [("cylinders", "quotient"), ("export", "dot")])
+    def test_class_without_ends_exit_1(self, argv, tmp_path):
+        p = tmp_path / "tripods.txt"
+        p.write_text(
+            (INPUTS / "tripods.txt").read_text()
+            + "class c.b: , plural = true, in_A = true\n"
+        )
+        code, out, err = run(*argv, str(p))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "c.b has no ends" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed, name", enumerate(["torus_cycle.txt", "tripods.txt"]))
+    def test_atlas_parse_fuzz(self, seed, name, tmp_path):
+        """Seeded mutations of an atlas: only a SplittingsError escapes parse,
+        and every atlas command exits 0 or 1."""
+        rng = random.Random(seed)
+        original = (INPUTS / name).read_text().splitlines()
+        tokens = ("x", ",", ":", "=", "--", ".o", "-1", "9" * 20, "é", '"', "\\")
+        p = tmp_path / name
+        for _ in range(120):
+            lines = list(original)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(lines))
+                text = lines[i]
+                j = rng.randrange(len(text) + 1)
+                op = rng.randrange(5)
+                if op == 0:
+                    lines[i] = text[:j] + text[j + 1:]
+                elif op == 1:
+                    lines[i] = text[:j] + text[j:j + 1] + text[j:]
+                elif op == 2:
+                    lines[i] = text[:j] + rng.choice(tokens) + text[j:]
+                elif op == 3:
+                    lines.insert(i, text)
+                else:
+                    # strip the end list of one class line; half the time
+                    # the stripped line is a copy under a new class name,
+                    # so that every end stays classed
+                    classes = [n for n, t in enumerate(lines) if t.startswith("class ")]
+                    k = rng.choice(classes or [i])
+                    head, _, rest = lines[k].partition(":")
+                    stripped = f"{head}: ,{rest.partition(',')[2]}"
+                    if rng.random() < 0.5:
+                        lines[k] = stripped
+                    else:
+                        lines.append(stripped.replace(":", "z:", 1))
+            mutant = "\n".join(lines) + "\n"
+            commands = [("cylinders", "quotient")]
+            try:
+                cli_io.parse(mutant)
+            except SplittingsError:
+                pass  # every command stops at the same parse error
+            else:
+                commands += [
+                    ("cylinders", "quotient", "--collapse"),
+                    ("export", "dot"),
+                    ("export", "dot", "--skeleton"),
+                    ("export", "dot", "--collapse"),
+                ]
+            p.write_text(mutant, encoding="utf-8")
+            for argv in commands:
+                code, _, err = run(*argv, str(p))
+                assert code in (0, 1), (mutant, argv, err)
 
 
 class TestDeterminism:

@@ -1,3 +1,6 @@
+import random
+from collections import deque
+
 import pytest
 
 from splittings import cylinders as cyl
@@ -97,6 +100,12 @@ class TestValidateAtlas:
         )
         with pytest.raises(Disconnected):
             cyl.validate_atlas(s, cyl.CylinderAtlas(()))
+
+    def test_class_without_ends(self):
+        s, a = tripods()
+        empty = cyl.LocalClass("c", "b", (), True, True)
+        with pytest.raises(SemanticError, match="class c.b has no ends"):
+            cyl.validate_atlas(s, cyl.CylinderAtlas(a.classes + (empty,)))
 
     def test_unknown_stabilizer_edge(self):
         s, a = torus_cycle()
@@ -260,3 +269,101 @@ class TestBipartite:
             orbits = cyl.cylinder_orbits(s, a)
             seen = [e for orbit in orbits for e in orbit]
             assert sorted(seen) == sorted(e.id for e in s.edges)
+
+
+def chained_cycles(rng):
+    """A random atlas: a chain of edge cycles, each after the first starting
+    at a vertex of the previous one, and sometimes a second chain apart from
+    the first. Edge ids are shuffled so that the least id of a cylinder is
+    not its first edge; the ends at each vertex are split into random local
+    classes with random plural and in_A flags."""
+    numbers = rng.sample(range(1000), 200)
+    vertices, edges = [], []
+    for _ in range(rng.choice((1, 1, 1, 2))):
+        shared = None
+        for _ in range(rng.randint(1, 12)):
+            n = rng.randint(1, 5)
+            cycle = [shared] if shared is not None else []
+            while len(cycle) < n:
+                cycle.append(f"x{len(vertices)}")
+                vertices.append(cycle[-1])
+            for i in range(n):
+                eid = f"e{numbers[len(edges)]}"
+                edges.append(cyl.SkeletonEdge(eid, cycle[i], cycle[(i + 1) % n], "Z"))
+            shared = rng.choice(cycle)
+    ends_at = {v: [] for v in vertices}
+    for e in edges:
+        ends_at[e.origin].append((e.id, "o"))
+        ends_at[e.terminus].append((e.id, "t"))
+    classes = []
+    for v, ends in ends_at.items():
+        rng.shuffle(ends)
+        while ends:
+            k = rng.randint(1, len(ends))
+            plural, in_a = rng.random() < 0.4, rng.random() < 0.7
+            classes.append(
+                cyl.LocalClass(v, f"c{len(classes)}", tuple(ends[:k]), plural, in_a)
+            )
+            del ends[:k]
+    s = cyl.SkeletonGraph(
+        tuple(cyl.SkeletonVertex(v, "F2") for v in vertices), tuple(edges)
+    )
+    return s, cyl.CylinderAtlas(tuple(classes))
+
+
+def bfs_components(nodes, links):
+    """Components by breadth-first search, each a sorted tuple, listed in
+    the order of their least members."""
+    adjacent = {n: [] for n in nodes}
+    for x, y in links:
+        adjacent[x].append(y)
+        adjacent[y].append(x)
+    seen, comps = set(), []
+    for n in nodes:
+        if n in seen:
+            continue
+        seen.add(n)
+        comp, queue = [n], deque([n])
+        while queue:
+            for y in adjacent[queue.popleft()]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    queue.append(y)
+        comps.append(tuple(sorted(comp)))
+    return sorted(comps)
+
+
+class TestRandomAtlases:
+    """validate_atlas, cylinder_orbits and collapse_non_A against a
+    breadth-first search written separately from the module's union-find."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_against_bfs(self, seed):
+        s, a = chained_cycles(random.Random(seed))
+        skeleton = bfs_components(
+            [v.id for v in s.vertices], [(e.origin, e.terminus) for e in s.edges]
+        )
+        class_links = [
+            (x[0], y[0]) for c in a.classes for x, y in zip(c.ends, c.ends[1:])
+        ]
+        orbits = bfs_components([e.id for e in s.edges], class_links)
+        assert cyl.cylinder_orbits(s, a) == orbits
+        if len(skeleton) > 1:
+            with pytest.raises(Disconnected):
+                cyl.validate_atlas(s, a)
+            return
+        q = cyl.tree_of_cylinders_quotient(s, a)
+        assert len(q.v1) == len(orbits)
+        nodes = [("V0", v) for v in q.v0] + [("V1", y) for y, _ in q.v1]
+        merged = bfs_components(
+            nodes, [(("V0", e.v0), ("V1", e.cyl)) for e in q.edges if not e.in_A]
+        )
+        v0_ids, v1_ids = [], []
+        for comp in merged:
+            nid = "+".join(sorted(name for _, name in comp))
+            (v1_ids if any(k == "V1" for k, _ in comp) else v0_ids).append(nid)
+        c = cyl.collapse_non_A(q)
+        assert list(c.v0) == sorted(v0_ids)
+        assert [y for y, _ in c.v1] == sorted(v1_ids)
+        assert len(c.edges) == sum(1 for e in q.edges if e.in_A)
