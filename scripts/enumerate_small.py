@@ -6,6 +6,7 @@ Usage: python3 scripts/enumerate_small.py [--budget N] [--json]
 
 import argparse
 import json
+import sys
 from dataclasses import dataclass
 
 import splittings as sp
@@ -37,7 +38,8 @@ def census_row(budget):
 
 
 def main(cfg):
-    rows = [census_row(b) for b in range(cfg.budget + 1)]
+    # largest budget first, so a budget over the census cap fails before any work
+    rows = [census_row(b) for b in range(cfg.budget, -1, -1)][::-1]
     if cfg.as_json:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return
@@ -55,4 +57,7 @@ if __name__ == "__main__":
     ap.add_argument("--budget", type=int, default=6)
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
-    main(CensusConfig(budget=args.budget, as_json=args.json))
+    try:
+        main(CensusConfig(budget=args.budget, as_json=args.json))
+    except sp.SplittingsError as exc:
+        sys.exit(f"error: {exc}")

@@ -532,38 +532,47 @@ def _print_report(rep: Report, as_json: bool, out: TextIO) -> None:
         out.write(f"witness {k}: {rep.witnesses[k]}\n")
 
 
+def _verdict_fields(o: orbifold.Orbifold2) -> tuple[dict, Optional[str]]:
+    """The chi and hyperbolic fields and, when chi < 0, the small and
+    mapping-class-group fields of one orbifold, with chi computed once;
+    also the mapping-class-group note, if any."""
+    chi = orbifold.euler_characteristic(o)
+    fields = {"chi": rational_str(chi), "hyperbolic": chi < 0}
+    if chi >= 0:
+        return fields, None
+    sv = orbifold._small(o)
+    mv = orbifold._mcg(o)
+    fields["small"] = sv.small
+    fields["small_family"] = sv.family
+    fields["finite_mcg"] = mv.finite
+    fields["mcg_family"] = mv.family
+    return fields, mv.note
+
+
 def _cmd_orbifold_analyze(args, out: TextIO) -> int:
     doc, text = _read_document(args.file)
     _want(doc, ("orbifold",))
     o: orbifold.Orbifold2 = doc.payload
-    chi = orbifold.euler_characteristic(o)
-    hyp = orbifold.is_hyperbolic(o)
+    fields, note = _verdict_fields(o)
     result: dict = {
         "operation": "orbifold.analyze",
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
         "input_digest": digest(text),
         "seed": args.seed,
-        "chi": rational_str(chi),
-        "hyperbolic": hyp,
         "boundary_components": orbifold.boundary_components(o),
         "small": None,
         "small_family": None,
         "finite_mcg": None,
         "mcg_family": None,
+        **fields,
     }
-    if hyp:
-        sv = orbifold.is_small(o)
-        mv = orbifold.has_finite_mcg(o)
-        result["small"] = sv.small
-        result["small_family"] = sv.family
-        result["finite_mcg"] = mv.finite
-        result["mcg_family"] = mv.family
-        if mv.note:
-            result["mcg_note"] = mv.note
+    if note:
+        result["mcg_note"] = note
+    hyp = result["hyperbolic"]
     if args.json:
         out.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
     else:
-        out.write(f"chi = {rational_str(chi)}\n")
+        out.write(f"chi = {result['chi']}\n")
         out.write(f"hyperbolic = {str(hyp).lower()}\n")
         if hyp:
             out.write(f"small = {str(result['small']).lower()}")
@@ -580,26 +589,15 @@ def _cmd_orbifold_analyze(args, out: TextIO) -> int:
 
 
 def _cmd_orbifold_enumerate(args, out: TextIO) -> int:
-    orbs = orbifold.enumerate_orbifolds(args.budget)
     rows = []
-    for o in orbs:
-        chi = orbifold.euler_characteristic(o)
-        hyp = chi < 0
+    for o in orbifold.enumerate_orbifolds(args.budget):
         row = {
             "orientable": o.orientable,
             "genus": o.genus,
             "cone": list(o.cone_points),
             "circles": [_circle_text(c) for c in o.circles],
-            "chi": rational_str(chi),
-            "hyperbolic": hyp,
         }
-        if hyp:
-            sv = orbifold.is_small(o)
-            mv = orbifold.has_finite_mcg(o)
-            row["small"] = sv.small
-            row["small_family"] = sv.family
-            row["finite_mcg"] = mv.finite
-            row["mcg_family"] = mv.family
+        row.update(_verdict_fields(o)[0])
         rows.append(row)
     if args.json:
         obj = {

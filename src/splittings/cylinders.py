@@ -16,12 +16,17 @@ vertex. Vertex orbits not in V0 are absorbed into their unique cylinder.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .errors import Disconnected, MissingFlag, SemanticError, UnclassedEnd
 
 End = tuple[str, str]  # (edge orbit id, "o" | "t")
+
+# tree_of_cylinders_quotient names cylinder orbits Y1, Y2, ... next to the
+# vertex orbit ids, so a vertex orbit may not take such a name
+_CYLINDER_ID = re.compile(r"Y[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,11 @@ def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
     vids = s.vertex_ids()
     if len(set(vids)) != len(vids):
         raise SemanticError("duplicate vertex orbit id")
+    for v in vids:
+        if _CYLINDER_ID.fullmatch(v):
+            raise SemanticError(
+                f"vertex orbit id {v!r} is reserved: cylinder orbits are named Y1, Y2, ..."
+            )
     if len({e.id for e in s.edges}) != len(s.edges):
         raise SemanticError("duplicate edge orbit id")
     ends_at: dict[str, list[End]] = {v: [] for v in vids}

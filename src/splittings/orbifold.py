@@ -14,9 +14,12 @@ is the strict inequality chi < 0.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Optional
 
 from .errors import (
     ConeOrderTooSmall,
@@ -25,6 +28,7 @@ from .errors import (
     InvalidCircle,
     InvalidOrbifold,
     NotHyperbolic,
+    SemanticError,
 )
 
 M = "M"
@@ -73,21 +77,21 @@ class BoundaryCircle:
     def boundary_segments(self) -> int:
         return sum(1 for x in self.word if x == B)
 
-    def adjacencies(self) -> Iterator[tuple[str, str, Optional[int]]]:
-        """Cyclic adjacencies (token, next token, corner order); none for a
-        length-1 word (a closed mirror has zero junctions)."""
-        n = len(self.word)
-        if self.kind != "mixed" or n <= 1:
-            return
-        for i in range(n):
-            yield self.word[i], self.word[(i + 1) % n], self.corners[i]
+    def _has_adjacencies(self) -> bool:
+        """A length-1 word has none: a closed mirror has zero junctions."""
+        return self.kind == "mixed" and len(self.word) > 1
 
     def corner_orders(self) -> list[int]:
-        return [r for _, _, r in self.adjacencies() if r is not None]
+        if not self._has_adjacencies():
+            return []
+        return [r for r in self.corners if r is not None]
 
     def junctions(self) -> int:
         """Number of mirror-boundary junctions on this circle."""
-        return sum(1 for a, b, _ in self.adjacencies() if a != b)
+        if not self._has_adjacencies():
+            return 0
+        w = self.word
+        return sum(1 for i in range(len(w)) if w[i - 1] != w[i])
 
     def sort_key(self):
         return (
@@ -126,20 +130,25 @@ def _merge_boundary_runs(word, corners):
     return tuple(t for t, _ in out), tuple(c for _, c in out)
 
 
+def _dihedral_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Index maps (p, q) of the n rotations and then the n reflections of a
+    length-n circle, the identity first: the image of (word, corners) is
+    word[p[i]] and corners[q[i]], corner i sitting between word[i] and
+    word[(i + 1) % n]."""
+    rotations = [tuple((i + k) % n for i in range(n)) for k in range(n)]
+    reflections = [
+        (
+            tuple(n - 1 - (i + k) % n for i in range(n)),
+            tuple((n - 2 - (i + k) % n) % n for i in range(n)),
+        )
+        for k in range(n)
+    ]
+    return tuple([(r, r) for r in rotations] + reflections)
+
+
 def _rotations_and_reflections(word, corners):
-    n = len(word)
-    for k in range(n):
-        yield (
-            tuple(word[(i + k) % n] for i in range(n)),
-            tuple(corners[(i + k) % n] for i in range(n)),
-        )
-    rword = tuple(reversed(word))
-    rcorners = tuple(corners[(n - 2 - j) % n] for j in range(n))
-    for k in range(n):
-        yield (
-            tuple(rword[(i + k) % n] for i in range(n)),
-            tuple(rcorners[(i + k) % n] for i in range(n)),
-        )
+    for p, q in _dihedral_maps(len(word)):
+        yield tuple(word[j] for j in p), tuple(corners[j] for j in q)
 
 
 def _canonical_mixed(word, corners) -> BoundaryCircle:
@@ -219,23 +228,23 @@ def euler_characteristic(o: Orbifold2) -> Fraction:
     chi(surface) minus (1 - 1/q) per cone, minus (1 - 1/r)/2 per corner
     reflector, minus 1/4 per mirror-boundary junction; chi(surface) is
     2 - 2*genus - b for orientable, 2 - genus - b otherwise, with b the
-    number of boundary circles.
+    number of boundary circles. The sum is taken in integers over the
+    common denominator d = lcm(4, cone orders, 2 * corner orders) and made a
+    Fraction once.
 
     >>> euler_characteristic(validate(Orbifold2(True, 0, (2, 3, 7))))
     Fraction(-1, 42)
     """
-    b = len(o.circles)
-    if o.orientable:
-        chi = Fraction(2 - 2 * o.genus - b)
-    else:
-        chi = Fraction(2 - o.genus - b)
-    for q in o.cone_points:
-        chi -= 1 - Fraction(1, q)
+    quarters = 4 * (2 - (2 * o.genus if o.orientable else o.genus) - len(o.circles))
+    quarters -= 4 * len(o.cone_points)
+    dens = list(o.cone_points)
     for c in o.circles:
         for r in c.corner_orders():
-            chi -= Fraction(1, 2) * (1 - Fraction(1, r))
-        chi -= Fraction(1, 4) * c.junctions()
-    return chi
+            quarters -= 2
+            dens.append(2 * r)
+        quarters -= c.junctions()
+    d = math.lcm(4, *dens)
+    return Fraction(quarters * (d // 4) + sum(d // x for x in dens), d)
 
 
 def is_hyperbolic(o: Orbifold2) -> bool:
@@ -286,6 +295,11 @@ def is_small(o: Orbifold2) -> SmallVerdict:
     """
     if not is_hyperbolic(o):
         raise NotHyperbolic("small-orbifold classification needs chi < 0")
+    return _small(o)
+
+
+def _small(o: Orbifold2) -> SmallVerdict:
+    """is_small for an orbifold already known to be hyperbolic."""
     if not (o.orientable and o.genus == 0):
         return SmallVerdict(False)
     b = len(o.circles)
@@ -324,6 +338,11 @@ def has_finite_mcg(o: Orbifold2) -> McgVerdict:
     """
     if not is_hyperbolic(o):
         raise NotHyperbolic("mapping-class-group classification needs chi < 0")
+    return _mcg(o)
+
+
+def _mcg(o: Orbifold2) -> McgVerdict:
+    """has_finite_mcg for an orbifold already known to be hyperbolic."""
     nonsimple = [c for c in o.circles if not c.is_simple()]
     simple = [c for c in o.circles if c.is_simple()]
     ncones = len(o.cone_points)
@@ -354,85 +373,112 @@ def feature_count(o: Orbifold2) -> int:
     )
 
 
+# The census grows 10-13x per budget step: budget 8 is 755,625 rows, and
+# `orbifold enumerate --budget 8 --json` takes 46-48 s and 1.9-2.0 GiB peak
+# memory (py3.11 on a 2-core Xeon); budget 9 is 10,006,598 rows.
+CENSUS_MAX_BUDGET = 8
+
+
 def _circle_shapes(max_cost: int, budget: int) -> list[BoundaryCircle]:
     """All normalized circles of cost (1 + word length) <= max_cost, with
-    corner orders in [2, budget]."""
+    corner orders in [2, budget], sorted by sort_key.
+
+    Each circle is generated once, already canonical: a word is kept only
+    when it is the least of its dihedral images, and a corner assignment only
+    when it is <= its image under every map that fixes the word. The least
+    image of the decorated word is then the word itself, so nothing is
+    canonicalized or deduplicated afterwards."""
     shapes = []
     if max_cost >= 1:
         shapes.append(BoundaryCircle.plain())
-    seen = set()
-    for length in range(1, max(0, max_cost - 1) + 1):
-        for word in itertools.product((M, B), repeat=length):
-            if B in word and M not in word:
+    orders = range(2, budget + 1)
+    for length in range(1, max_cost):
+        maps = _dihedral_maps(length)
+        for word in itertools.product((B, M), repeat=length):
+            if M not in word or any(word[i - 1] == word[i] == B for i in range(length)):
                 continue
-            if length >= 2 and any(
-                word[i] == B and word[(i + 1) % length] == B for i in range(length)
-            ):
+            images = [tuple(word[j] for j in p) for p, _ in maps]
+            if min(images) != word:
                 continue
             mm = [
                 i
                 for i in range(length)
-                if length >= 2 and word[i] == M and word[(i + 1) % length] == M
+                if length >= 2 and word[i] == word[(i + 1) % length] == M
             ]
-            order_choices = (
-                itertools.product(range(2, budget + 1), repeat=len(mm))
-                if mm
-                else [()]
-            )
-            for orders in order_choices:
-                corners: list[Optional[int]] = [None] * length
-                for i, r in zip(mm, orders):
-                    corners[i] = r
-                circle = _canonical_mixed(word, tuple(corners))
-                if circle not in seen:
-                    seen.add(circle)
-                    shapes.append(circle)
+            slot = {i: k for k, i in enumerate(mm)}
+            # a map fixing the word carries mirror-mirror corners to
+            # mirror-mirror corners; keep it as a permutation of the orders
+            stabilizer = {
+                tuple(slot[q[i]] for i in mm)
+                for (_, q), image in zip(maps, images)
+                if image == word
+            }
+            stabilizer.discard(tuple(range(len(mm))))
+            # a non-identity permutation moves at least 2 slots, so each
+            # itemgetter returns a tuple
+            images_of = [itemgetter(*perm) for perm in stabilizer]
+            for assigned in itertools.product(orders, repeat=len(mm)):
+                for image_of in images_of:
+                    if image_of(assigned) < assigned:
+                        break
+                else:
+                    corners: list[Optional[int]] = [None] * length
+                    for i, r in zip(mm, assigned):
+                        corners[i] = r
+                    shapes.append(BoundaryCircle("mixed", word, tuple(corners)))
     shapes.sort(key=BoundaryCircle.sort_key)
     return shapes
 
 
-def _circle_multisets(shapes, costs, max_cost, start=0):
+def _circle_multisets(shapes, costs, by_cost, max_cost, start=0):
+    """Multisets of shapes[start:] of total cost <= max_cost, as tuples in
+    shape order, yielded in lexicographic order. by_cost[r] lists in
+    increasing order the indices of the shapes of cost <= r, so the walk
+    never visits a shape that does not fit."""
     yield ()
-    for i in range(start, len(shapes)):
-        if costs[i] > max_cost:
-            continue
-        for rest in _circle_multisets(shapes, costs, max_cost - costs[i], i):
+    fits = by_cost[max_cost]
+    for k in range(bisect_left(fits, start), len(fits)):
+        i = fits[k]
+        for rest in _circle_multisets(shapes, costs, by_cost, max_cost - costs[i], i):
             yield (shapes[i],) + rest
 
 
 def enumerate_orbifolds(budget: int) -> list[Orbifold2]:
     """All normalized orbifolds with 1 <= feature count <= budget and cone
     and corner orders <= budget, duplicate-free up to the cyclic and
-    reflective symmetry of mixed boundary words. Rows are built already in
-    validate's normal form (cones and circle multisets come out sorted, and
-    _circle_shapes yields each canonical circle once), so each appears once."""
-    out = []
+    reflective symmetry of mixed boundary words, sorted by feature count,
+    orientability, genus, cones and circles.
+
+    Rows are built already in validate's normal form and each appears once:
+    _circle_shapes generates each canonical circle once, and cones and circle
+    multisets are generated as sorted multisets. They are also built in
+    sorted order, so nothing is sorted or deduplicated at the end. Budgets
+    above CENSUS_MAX_BUDGET raise SemanticError before any work."""
+    if budget > CENSUS_MAX_BUDGET:
+        raise SemanticError(
+            f"census budget {budget} is over the cap CENSUS_MAX_BUDGET ="
+            f" {CENSUS_MAX_BUDGET}; the census grows 10-13x per budget step"
+        )
     shapes = _circle_shapes(budget, budget)
     costs = [1 + len(c.word) for c in shapes]
-    orders = list(range(2, budget + 1))
-    for orientable in (True, False):
-        genus_min = 0 if orientable else 1
-        for genus in range(genus_min, budget + 1):
-            rem_g = budget - genus
-            for ncones in range(0, rem_g + 1):
-                cone_sets = (
-                    itertools.combinations_with_replacement(orders, ncones)
-                    if ncones
-                    else [()]
-                )
-                for cones in cone_sets:
-                    rem = rem_g - ncones
-                    for circles in _circle_multisets(shapes, costs, rem):
-                        o = Orbifold2(orientable, genus, tuple(cones), circles)
-                        if feature_count(o) >= 1:
-                            out.append(o)
-    out.sort(
-        key=lambda o: (
-            feature_count(o),
-            not o.orientable,
-            o.genus,
-            o.cone_points,
-            tuple(c.sort_key() for c in o.circles),
-        )
+    by_cost = [[i for i, c in enumerate(costs) if c <= r] for r in range(budget + 1)]
+    circle_sets: list[list[tuple[BoundaryCircle, ...]]] = [[] for _ in range(budget + 1)]
+    for circles in _circle_multisets(shapes, costs, by_cost, budget):
+        circle_sets[sum(1 + len(c.word) for c in circles)].append(circles)
+    cone_sets = sorted(
+        cones
+        for n in range(budget + 1)
+        for cones in itertools.combinations_with_replacement(range(2, budget + 1), n)
     )
+    out = []
+    for features in range(1, budget + 1):
+        for orientable in (True, False):
+            for genus in range(0 if orientable else 1, features + 1):
+                for cones in cone_sets:
+                    rem = features - genus - len(cones)
+                    if rem >= 0:
+                        out.extend(
+                            Orbifold2(orientable, genus, cones, circles)
+                            for circles in circle_sets[rem]
+                        )
     return out

@@ -316,6 +316,33 @@ class TestHostileInput:
         assert code == 1 and out == ""
         assert f"E = {n}" in err and "LATTICE_MAX_EDGES" in err and "keep" in err
 
+    def test_census_over_cap_exit_1(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("census work started")
+
+        monkeypatch.setattr(sp.orbifold, "_circle_shapes", no_work)
+        cap = sp.orbifold.CENSUS_MAX_BUDGET
+        code, out, err = run("orbifold", "enumerate", "--budget", str(cap + 1))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"CENSUS_MAX_BUDGET = {cap}" in err
+
+    @pytest.mark.parametrize("argv", [("cylinders", "quotient"), ("export", "dot")])
+    def test_cylinder_style_vertex_id_exit_1(self, argv, tmp_path):
+        p = tmp_path / "y1.txt"
+        p.write_text(
+            "[atlas]\n"
+            "vertex Y1: Z\n"
+            "vertex v: Z\n"
+            "edge a: Y1 -- v, group = Z\n"
+            "edge b: Y1 -- v, group = Z\n"
+            "class Y1.p: a.o, plural = true, in_A = true\n"
+            "class Y1.q: b.o, plural = true, in_A = true\n"
+            "class v.a: a.t b.t, plural = false, in_A = true\n"
+        )
+        code, out, err = run(*argv, str(p))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "'Y1' is reserved" in err
+
     def test_keepless_m3_under_cap(self, tmp_path):
         lines = (INPUTS / "m3.txt").read_text().splitlines(keepends=True)
         p = tmp_path / "m3_all.txt"

@@ -107,6 +107,32 @@ class TestValidateAtlas:
         with pytest.raises(SemanticError, match="class c.b has no ends"):
             cyl.validate_atlas(s, cyl.CylinderAtlas(a.classes + (empty,)))
 
+    def test_cylinder_style_vertex_id_is_reserved(self):
+        # the quotient names cylinder orbits Y1, Y2, ...; a vertex Y1 with two
+        # plural classes would print as an edge Y1 -[p]- Y1
+        s = cyl.SkeletonGraph(
+            (cyl.SkeletonVertex("Y1"), cyl.SkeletonVertex("v")),
+            (cyl.SkeletonEdge("a", "Y1", "v"), cyl.SkeletonEdge("b", "Y1", "v")),
+        )
+        a = cyl.CylinderAtlas(
+            (
+                cyl.LocalClass("Y1", "p", (("a", "o"),), True, True),
+                cyl.LocalClass("Y1", "q", (("b", "o"),), True, True),
+                cyl.LocalClass("v", "a", (("a", "t"), ("b", "t")), False, True),
+            )
+        )
+        with pytest.raises(SemanticError, match="'Y1' is reserved"):
+            cyl.validate_atlas(s, a)
+        renamed = cyl.SkeletonGraph(
+            (cyl.SkeletonVertex("Y"), cyl.SkeletonVertex("v")),
+            tuple(cyl.SkeletonEdge(e.id, "Y", "v") for e in s.edges),
+        )
+        classes = tuple(
+            cyl.LocalClass("Y" if c.vertex == "Y1" else c.vertex, c.name, c.ends, c.plural, c.in_A)
+            for c in a.classes
+        )
+        cyl.validate_atlas(renamed, cyl.CylinderAtlas(classes))
+
     def test_unknown_stabilizer_edge(self):
         s, a = torus_cycle()
         with pytest.raises(SemanticError):

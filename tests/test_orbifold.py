@@ -1,8 +1,14 @@
+import hashlib
+import io
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import splittings as sp
+from splittings import cli_io, orbifold
 from splittings.errors import (
     ConeOrderTooSmall,
     CornerOrderTooSmall,
@@ -10,6 +16,7 @@ from splittings.errors import (
     InvalidCircle,
     InvalidOrbifold,
     NotHyperbolic,
+    SemanticError,
 )
 from splittings.orbifold import B, M, BoundaryCircle, Orbifold2
 
@@ -302,3 +309,178 @@ class TestEnumerate:
     def test_all_validated_budget_5(self):
         for o in sp.enumerate_orbifolds(5):
             assert sp.validate(o) == o
+
+
+# -- independent census count ---------------------------------------------------
+#
+# A mixed circle of length n >= 2 is a closed walk of n steps on the states
+# (M, B) with transfer matrix T = [[b - 1, 1], [1, 0]]: an M-M step carries one
+# of the b - 1 corner orders, and B-B is forbidden. Burnside's lemma over the
+# dihedral group of order 2n counts the circles up to rotation and reflection;
+# the closed mirror (M) is the only circle of length 1. Rows then come from the
+# multiset (Euler) transform of shapes by cost, times cone multisets and genus
+# choices (Flajolet-Sedgewick, Analytic Combinatorics, I.2).
+
+
+def _mat_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+
+
+def _mat_pow(t, k):
+    out = ((1, 0), (0, 1))
+    for _ in range(k):
+        out = _mat_mul(out, t)
+    return out
+
+
+def _burnside_shapes(budget):
+    """Mixed circles by word length 1 .. budget - 1, corner orders <= budget."""
+    t = ((budget - 1, 1), (1, 0))
+    st = range(2)
+    counts = {}
+    for n in range(1, budget):
+        if n == 1:
+            counts[n] = 1
+            continue
+        fixed = sum(
+            _mat_pow(t, math.gcd(n, k))[0][0] + _mat_pow(t, math.gcd(n, k))[1][1]
+            for k in range(n)
+        )
+        if n % 2:
+            p = _mat_pow(t, (n - 1) // 2)
+            fixed += n * sum(p[s][x] * t[x][x] for s in st for x in st)
+        else:
+            p, q = _mat_pow(t, n // 2), _mat_pow(t, n // 2 - 1)
+            fixed += n // 2 * (
+                sum(p[s][x] for s in st for x in st)
+                + sum(t[s][s] * q[s][x] * t[x][x] for s in st for x in st)
+            )
+        assert fixed % (2 * n) == 0
+        counts[n] = fixed // (2 * n)
+    return counts
+
+
+def _multisets_by_cost(types_by_cost, top):
+    """Coefficients 0..top of prod_c (1 - x^c)^(-types_by_cost[c])."""
+    series = [1] + [0] * top
+    for cost, types in types_by_cost.items():
+        if not types:
+            continue
+        out = [0] * (top + 1)
+        for m, a in enumerate(series):
+            for j in range((top - m) // cost + 1):
+                out[m + cost * j] += a * math.comb(types + j - 1, j)
+        series = out
+    return series
+
+
+def _census_rows(budget):
+    shapes = {1: 1}
+    shapes.update({n + 1: k for n, k in _burnside_shapes(budget).items()})
+    circles = _multisets_by_cost(shapes, budget)
+    cones = _multisets_by_cost({1: max(0, budget - 1)}, budget)  # orders 2..budget
+    genus = [1] + [2] * budget  # orientable genus g, or g >= 1 cross-caps
+    total = sum(
+        genus[g] * cones[k] * circles[m]
+        for g in range(budget + 1)
+        for k in range(budget + 1 - g)
+        for m in range(budget + 1 - g - k)
+    )
+    return total - 1  # the sphere has no feature
+
+
+CENSUS = [0, 3, 14, 59, 271, 1445, 9259, 73818, 755625]
+
+
+class TestCensusCount:
+    @pytest.mark.parametrize("budget", range(2, 8))
+    def test_shapes_per_length_match_burnside(self, budget):
+        shapes = orbifold._circle_shapes(budget, budget)
+        got = Counter(len(c.word) for c in shapes if not c.is_plain())
+        assert dict(got) == _burnside_shapes(budget)
+        assert sum(c.is_plain() for c in shapes) == 1
+
+    def test_budget_7_shapes_by_length(self):
+        counts = _burnside_shapes(7)
+        assert [counts[n] for n in range(1, 7)] == [1, 22, 62, 253, 1020, 5000]
+
+    def test_row_counts_closed_form(self):
+        assert [_census_rows(b) for b in range(9)] == CENSUS
+
+    @pytest.mark.parametrize("budget", range(7))
+    def test_enumeration_matches_count(self, budget):
+        assert len(sp.enumerate_orbifolds(budget)) == _census_rows(budget)
+
+
+class TestCanonicalShapes:
+    @pytest.mark.parametrize("budget", range(7))
+    def test_shapes_are_the_validated_words(self, budget):
+        # every decorated M/B word of length < budget, canonicalized by
+        # validate over all rotations and reflections
+        expect = {BoundaryCircle.plain()} if budget >= 1 else set()
+        for length in range(1, budget):
+            for word in itertools.product((M, B), repeat=length):
+                mm = [
+                    i
+                    for i in range(length)
+                    if length >= 2 and word[i] == word[(i + 1) % length] == M
+                ]
+                for orders in itertools.product(range(2, budget + 1), repeat=len(mm)):
+                    corners = [None] * length
+                    for i, r in zip(mm, orders):
+                        corners[i] = r
+                    (c,) = orb(circles=(mixed(word, corners),)).circles
+                    expect.add(c)
+        got = orbifold._circle_shapes(budget, budget)
+        assert len(got) == len(set(got))
+        assert set(got) == expect
+        assert got == sorted(got, key=BoundaryCircle.sort_key)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dihedral_maps_act_on_circles(self, n):
+        # the image of each map is the same circle read from another start
+        # or the other way round; mirror-mirror corners follow their arcs
+        word = tuple(M if i % 3 else B for i in range(n))
+        corners = tuple(range(10, 10 + n))
+        images = list(orbifold._rotations_and_reflections(word, corners))
+        assert len(images) == 2 * n and images[0] == (word, corners)
+        for w, c in images:
+            pairs = {(frozenset((w[i], w[(i + 1) % n])), c[i]) for i in range(n)}
+            assert pairs == {
+                (frozenset((word[i], word[(i + 1) % n])), corners[i]) for i in range(n)
+            }
+
+
+def _run_census(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli_io.run(["orbifold", "enumerate", *argv], stdout=out, stderr=err)
+    assert code == 0, err.getvalue()
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+class TestCensusOutput:
+    # sha256 of the command output, computed before the census was rewritten
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--budget", "5"), "d127536e975be34b0a557a2086756679f5964e5cb2a0acc42f1162585bdd5d87"),
+            (("--budget", "5", "--json"), "047d2b76e0b9098c1df48dd8d18ad74b1d227f258398e9baa23bd9de3b011618"),
+            (("--budget", "6"), "74147e922acd3331524209cb9914cf5070b6e789753874e4e0748b522615b776"),
+            (("--budget", "6", "--json"), "83c7a3d700a4019376cc95b0e7a1c88a53854e792f4066d7a8cb8ad8d39eadcd"),
+        ],
+        ids=["5-text", "5-json", "6-text", "6-json"],
+    )
+    def test_output_digest_pinned(self, argv, digest):
+        assert _run_census(*argv) == digest
+
+    def test_over_cap_raises_before_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("census work started")
+
+        monkeypatch.setattr(orbifold, "_circle_shapes", no_work)
+        cap = orbifold.CENSUS_MAX_BUDGET
+        with pytest.raises(SemanticError, match=f"CENSUS_MAX_BUDGET = {cap}"):
+            sp.enumerate_orbifolds(cap + 1)

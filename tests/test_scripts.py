@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+import splittings as sp
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -33,6 +35,25 @@ def test_script_exits_0(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_census_script_over_cap_fails_cleanly():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    cap = sp.orbifold.CENSUS_MAX_BUDGET
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "enumerate_small.py"),
+         "--budget", str(cap + 1)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "CENSUS_MAX_BUDGET" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_module_entry_point():
