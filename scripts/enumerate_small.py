@@ -7,9 +7,11 @@ Usage: python3 scripts/enumerate_small.py [--budget N] [--json]
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import splittings as sp
+from splittings.orbifold import _mcg, _small
 
 
 @dataclass(frozen=True)
@@ -18,28 +20,48 @@ class CensusConfig:
     as_json: bool = False
 
 
-def census_row(budget):
-    orbs = sp.enumerate_orbifolds(budget)
-    hyperbolic = [o for o in orbs if sp.is_hyperbolic(o)]
-    small = [o for o in hyperbolic if sp.is_small(o).small]
-    finite = [o for o in hyperbolic if sp.has_finite_mcg(o).finite]
-    families = {}
-    for o in small:
-        f = sp.is_small(o).family
-        families[f] = families.get(f, 0) + 1
-    return {
-        "budget": budget,
-        "total": len(orbs),
-        "hyperbolic": len(hyperbolic),
-        "small": len(small),
-        "small_by_family": {str(k): v for k, v in sorted(families.items())},
-        "finite_mcg": len(finite),
-    }
+def least_budget(o):
+    """The least budget whose census lists o: its feature count and every
+    cone and corner order are at most the budget."""
+    orders = [*o.cone_points, *(r for c in o.circles for r in c.corner_orders())]
+    return max([sp.feature_count(o), *orders])
+
+
+def census_rows(budget):
+    """One row per budget 0..budget from a single enumeration at budget,
+    with chi computed once per orbifold. Each orbifold is tallied at its
+    least budget and the rows are running sums."""
+    counts = [Counter() for _ in range(budget + 1)]
+    families = [Counter() for _ in range(budget + 1)]
+    for o in sp.enumerate_orbifolds(budget) if budget >= 0 else ():
+        b = least_budget(o)
+        counts[b]["total"] += 1
+        if sp.euler_characteristic(o) >= 0:
+            continue
+        counts[b]["hyperbolic"] += 1
+        verdict = _small(o)
+        if verdict.small:
+            counts[b]["small"] += 1
+            families[b][verdict.family] += 1
+        counts[b]["finite_mcg"] += _mcg(o).finite
+    rows = []
+    count, family = Counter(), Counter()
+    for b in range(budget + 1):
+        count.update(counts[b])
+        family.update(families[b])
+        rows.append({
+            "budget": b,
+            "total": count["total"],
+            "hyperbolic": count["hyperbolic"],
+            "small": count["small"],
+            "small_by_family": {str(k): v for k, v in sorted(family.items())},
+            "finite_mcg": count["finite_mcg"],
+        })
+    return rows
 
 
 def main(cfg):
-    # largest budget first, so a budget over the census cap fails before any work
-    rows = [census_row(b) for b in range(cfg.budget, -1, -1)][::-1]
+    rows = census_rows(cfg.budget)
     if cfg.as_json:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return

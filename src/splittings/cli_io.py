@@ -63,8 +63,12 @@ class GbsSpec:
 
 @dataclass(frozen=True)
 class AtlasSpec:
+    """Payload of an [atlas] document, validated by parse; hypotheses is
+    the manifest validate_atlas returned."""
+
     skeleton: cyl.SkeletonGraph
     atlas: cyl.CylinderAtlas
+    hypotheses: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -310,8 +314,8 @@ def _parse_atlas(body, name, comments) -> Document:
         raise _err(f"unknown atlas line {text!r}", line)
     skeleton = cyl.SkeletonGraph(tuple(vertices), tuple(edges), name)
     atlas = cyl.CylinderAtlas(tuple(classes), tuple(stabs))
-    cyl.validate_atlas(skeleton, atlas)
-    return Document("atlas", AtlasSpec(skeleton, atlas), name, comments)
+    hypotheses = tuple(cyl.validate_atlas(skeleton, atlas))
+    return Document("atlas", AtlasSpec(skeleton, atlas, hypotheses), name, comments)
 
 
 def parse(text: str) -> Document:
@@ -749,8 +753,7 @@ def _cmd_cylinders_quotient(args, out: TextIO) -> int:
     doc, text = _read_document(args.file)
     _want(doc, ("atlas",))
     spec: AtlasSpec = doc.payload
-    manifest = cyl.validate_atlas(spec.skeleton, spec.atlas)
-    q = cyl.tree_of_cylinders_quotient(spec.skeleton, spec.atlas)
+    q = cyl._quotient(spec.skeleton, spec.atlas)
     collapsed = cyl.collapse_non_A(q) if args.collapse else None
     if args.json:
         obj = {
@@ -758,7 +761,7 @@ def _cmd_cylinders_quotient(args, out: TextIO) -> int:
             "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
             "input_digest": digest(text),
             "seed": args.seed,
-            "hypotheses": manifest,
+            "hypotheses": spec.hypotheses,
             "quotient": _quotient_json(q),
         }
         if collapsed is not None:
@@ -787,7 +790,7 @@ def _cmd_export_dot(args, out: TextIO) -> int:
         if args.skeleton:
             out.write(export_dot(spec.skeleton))
             return 0
-        q = cyl.tree_of_cylinders_quotient(spec.skeleton, spec.atlas)
+        q = cyl._quotient(spec.skeleton, spec.atlas)
         if args.collapse:
             q = cyl.collapse_non_A(q)
         out.write(export_dot(q))

@@ -197,6 +197,11 @@ def _cylinder_ids(partition: list[tuple[str, ...]]) -> dict[str, str]:
 
 def tree_of_cylinders_quotient(s: SkeletonGraph, a: CylinderAtlas) -> QuotientGraph:
     validate_atlas(s, a)
+    return _quotient(s, a)
+
+
+def _quotient(s: SkeletonGraph, a: CylinderAtlas) -> QuotientGraph:
+    """tree_of_cylinders_quotient for an atlas already validated."""
     partition = cylinder_orbits(s, a)
     cyl_of = _cylinder_ids(partition)
     labels: dict[str, str] = {}

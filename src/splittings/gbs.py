@@ -798,23 +798,20 @@ def _normalize_steps(
         d, a = (e.lam, e.mu) if item.sign > 0 else (e.mu, e.lam)
         r = pending % abs(d)
         q = (pending - r) // d
-        if steps and r == 0 and steps[-1][0] == _rev(item):
+        if (
+            r == 0
+            and steps
+            and steps[-1][0].edge == item.edge
+            and steps[-1][0].sign == -item.sign
+        ):
             _, prev_r = steps.pop()
             pending = prev_r + q * a
         else:
             steps.append((item, r))
             pending = q * a
-            reach = max(reach, len(steps))
+            if len(steps) > reach:
+                reach = len(steps)
     return steps, pending, reach
-
-
-def _steps_items(g: LabeledGraph, steps: Iterable[Step]) -> list[Item]:
-    items: list[Item] = []
-    for c, r in steps:
-        if r != 0:
-            items.append(Pow(_dep_vertex(g, c), r))
-        items.append(c)
-    return items
 
 
 def _tree_distance(x: Sequence[Step], y: Sequence[Step]) -> int:
@@ -826,28 +823,56 @@ def _tree_distance(x: Sequence[Step], y: Sequence[Step]) -> int:
     return len(x) + len(y) - 2 * common
 
 
-def _ball(g: LabeledGraph, base: str, radius: int, max_vertices: int) -> list[tuple[Step, ...]]:
-    """Vertices of the radius-R ball around the base coset, breadth-first,
-    truncated at max_vertices."""
-    vertices: list[tuple[Step, ...]] = [()]
-    frontier: list[tuple[Step, ...]] = [()]
+State = tuple[list[Step], int]
+
+
+def _ball_walk(
+    g: LabeledGraph, base: str, radius: int, max_vertices: int, roots: Sequence[State] = ()
+) -> Iterator[tuple[tuple[Step, ...], Sequence[State]]]:
+    """Breadth-first walk of the radius-R ball around the base coset,
+    truncated at max_vertices. Each vertex x comes with one state per root
+    state s: the state of _normalize_steps for the path of s followed by the
+    coset path of x. A child resumes from its parent's states over its own
+    items only, Pow(tip, r) when r != 0 and then its crossing, so a vertex
+    costs one normalization step per root plus the copy of each state."""
+    moves: dict[str, list[tuple[Cross, Cross, str, int]]] = {}
+    yield (), roots
+    count = 1
+    # (vertex, tip vertex, crossing back to the parent, states)
+    frontier: list[tuple[tuple[Step, ...], str, Optional[Cross], Sequence[State]]] = [
+        ((), base, None, roots)
+    ]
     for _ in range(radius):
-        nxt: list[tuple[Step, ...]] = []
-        for p in frontier:
-            tip = base if not p else _arr_vertex(g, p[-1][0])
-            for c in g.index.departing[tip]:
-                for r in range(abs(_dep_label(g, c))):
-                    if p and r == 0 and p[-1][0] == _rev(c):
-                        continue  # parent vertex
+        nxt = []
+        for p, tip, back, states in frontier:
+            if tip not in moves:
+                moves[tip] = [
+                    (c, _rev(c), _arr_vertex(g, c), abs(_dep_label(g, c)))
+                    for c in g.index.departing[tip]
+                ]
+            for c, rev, arrival, d in moves[tip]:
+                # (back, 0) is the parent vertex
+                for r in range(1 if c == back else 0, d):
+                    items = (Pow(tip, r), c) if r else (c,)
                     child = p + ((c, r),)
-                    vertices.append(child)
-                    nxt.append(child)
-                    if len(vertices) >= max_vertices:
-                        return vertices
+                    child_states = [
+                        _normalize_steps(g, items, steps, pending)[:2]
+                        for steps, pending in states
+                    ]
+                    yield child, child_states
+                    count += 1
+                    if count >= max_vertices:
+                        return
+                    nxt.append((child, arrival, rev, child_states))
         frontier = nxt
         if not frontier:
             break
-    return vertices
+
+
+def _ball(g: LabeledGraph, base: str, radius: int, max_vertices: int) -> list[tuple[Step, ...]]:
+    """Vertices of the radius-R ball around the base coset, breadth-first,
+    truncated at max_vertices."""
+    return [x for x, _ in _ball_walk(g, base, radius, max_vertices)]
 
 
 @dataclass(frozen=True)
@@ -868,20 +893,21 @@ def ball_displacement_oracle(
 ) -> OracleResult:
     """Independent translation-length computation from tree geometry:
     max(d(x, w^2 x) - d(x, w x), 0) equals the translation length at every
-    vertex x. w and w^2 are normalized once and each vertex of the
-    (truncated) ball resumes from them; the value is read at the base, and a
-    vertex that disagrees raises IdentityViolation. The validity flag is set
-    when the radius exceeds the word's reach plus the computed value."""
+    vertex x. w and w^2 are normalized once; the breadth-first walk of the
+    (truncated) ball carries the states of w x and w^2 x, each resumed from
+    its parent's by one step. The value is read at the base, and a vertex
+    that disagrees raises IdentityViolation as soon as it is made. The
+    validity flag is set when the radius exceeds the word's reach plus the
+    computed value."""
     g = validate_graph(g)
     validate_word(g, w)
     w_steps, w_pending, reach = _normalize_steps(g, w.items)
     ww_steps, ww_pending, _ = _normalize_steps(g, w.items, w_steps, w_pending)
-    ball = _ball(g, w.base, radius, max_vertices)
+    roots = ((w_steps, w_pending), (ww_steps, ww_pending))
     value: Optional[int] = None
-    for x in ball:
-        x_items = _steps_items(g, x)
-        wx, _, _ = _normalize_steps(g, x_items, w_steps, w_pending)
-        wwx, _, _ = _normalize_steps(g, x_items, ww_steps, ww_pending)
+    used = 0
+    for x, ((wx, _), (wwx, _)) in _ball_walk(g, w.base, radius, max_vertices, roots):
+        used += 1
         f = max(_tree_distance(x, wwx) - _tree_distance(x, wx), 0)
         if value is None:
             value = f
@@ -895,7 +921,7 @@ def ball_displacement_oracle(
     reason = "" if valid else (
         f"radius {radius} does not exceed reach {reach} + value {value}"
     )
-    return OracleResult(value, valid, radius, reach, len(ball), reason)
+    return OracleResult(value, valid, radius, reach, used, reason)
 
 
 # -- seeded word sampling ------------------------------------------------------------

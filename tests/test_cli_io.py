@@ -507,6 +507,67 @@ class TestHostileInput:
                 code, _, err = run(*argv, str(p))
                 assert code in (0, 1), (mutant, argv, err)
 
+    @pytest.mark.parametrize(
+        "seed, name",
+        enumerate(["bs14.txt", "bs16.txt", "bs23.txt", "bs24.txt", "m3.txt",
+                   "mirror_disc.txt", "pants.txt", "turnover.txt"]),
+    )
+    def test_document_parse_fuzz(self, seed, name, tmp_path):
+        """Seeded mutations of a [gbs], [master] or [orbifold] document: only
+        a SplittingsError escapes parse, and every command that applies to
+        the document exits 0 or 1."""
+        rng = random.Random(seed)
+        original = (INPUTS / name).read_text().splitlines()
+        tokens = ("x", ",", ":", "=", "--", "(", ")", "^", "[", "]", "-1", "0",
+                  "-" + "9" * 20, "9" * 20, "é", '"', "\\", " ")
+        p = tmp_path / name
+        for _ in range(80):
+            lines = list(original)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(lines))
+                text = lines[i]
+                j = rng.randrange(len(text) + 1)
+                op = rng.randrange(5)
+                if op == 0:
+                    lines[i] = text[:j] + text[j + 1:]
+                elif op == 1:
+                    lines[i] = text[:j] + text[j:j + 1] + text[j:]
+                elif op == 2:
+                    lines[i] = text[:j] + rng.choice(tokens) + text[j:]
+                elif op == 3:
+                    lines.insert(i, text)
+                else:
+                    words = text.split(" ")
+                    a, b = rng.randrange(len(words)), rng.randrange(len(words))
+                    words[a], words[b] = words[b], words[a]
+                    lines[i] = " ".join(words)
+            mutant = "\n".join(lines) + "\n"
+            try:
+                doc = cli_io.parse(mutant)
+            except SplittingsError:
+                doc = None
+            if doc is None or doc.kind == "orbifold":
+                commands = [("orbifold", "analyze"), ("orbifold", "analyze", "--json")]
+            else:
+                word = doc.payload.words[0][0] if doc.payload.words else "t[e]"
+                commands = [
+                    ("gbs", "report"),
+                    ("gbs", "report", "--json"),
+                    ("gbs", "length", "--word", word),
+                    ("gbs", "length", "--word", word, "--oracle", "6", "--json"),
+                    ("export", "dot"),
+                ]
+                if doc.kind == "master":
+                    commands.append(
+                        ("lattice", "verify", "--words", "5", "--maxlen", "4")
+                    )
+            if doc is None:
+                commands = commands[:1]  # every command stops at the parse error
+            p.write_text(mutant, encoding="utf-8")
+            for argv in commands:
+                code, _, err = run(*argv, str(p))
+                assert code in (0, 1), (mutant, argv, err)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -1,11 +1,11 @@
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import splittings as sp
 from splittings import gbs, tree_arithmetic as ta
-from splittings.gbs import Cross, Edge
+from splittings.gbs import Cross, Edge, Pow
 from splittings.orbifold import B, M, BoundaryCircle, Orbifold2
 
 from conftest import make_m3
@@ -92,6 +92,17 @@ def gbs_graphs(draw):
 def graph_with_words(draw, count):
     g = draw(gbs_graphs())
     return g, [sp.make_word(g, tuple(draw(letters_for(g)))) for _ in range(count)]
+
+
+@given(graph_with_words(2))
+def test_conjugacy_invariance_on_random_graphs(gw):
+    # the modular map lands in the abelian group Q*, so it is a class
+    # function too
+    g, (w, c) = gw
+    conj = sp.concat(sp.concat(c, w), sp.inverse(c))
+    assert sp.translation_length(g, conj) == sp.translation_length(g, w)
+    q = sp.modular_homomorphism
+    assert q(g, conj) == q(g, w)
 
 
 @given(gbs_graphs())
@@ -184,6 +195,21 @@ def test_axis_dichotomy(w1, w2):
         assert lp == lm == l1 + l2 + 2 * r.gap
 
 
+@given(graph_with_words(2))
+def test_axis_dichotomy_on_random_graphs(gw):
+    g, (w1, w2) = gw
+    assume(not sp.is_elliptic(g, w1) and not sp.is_elliptic(g, w2))
+    r = sp.axis_gap(g, w1, w2)  # IdentityViolation would fail the test
+    l1 = sp.translation_length(g, w1)
+    l2 = sp.translation_length(g, w2)
+    lp = sp.translation_length(g, sp.concat(w1, w2))
+    lm = sp.translation_length(g, sp.concat(sp.inverse(w1), w2))
+    if r.kind == "meet":
+        assert max(lp, lm) == l1 + l2
+    else:
+        assert lp == lm == l1 + l2 + 2 * r.gap
+
+
 @given(words_for(BS12))
 def test_oracle_agrees_when_valid(w):
     res = sp.ball_displacement_oracle(BS12, w, 8)
@@ -197,6 +223,34 @@ def test_oracle_agrees_on_random_graphs(gw):
     res = sp.ball_displacement_oracle(g, w, 8)
     if res.valid:
         assert res.value == sp.translation_length(g, w)
+
+
+@given(graph_with_words(1))
+def test_ball_states_match_full_paths(gw):
+    # the walk resumes each vertex's states from its parent's; here every
+    # vertex's whole coset path is normalized again from the root states,
+    # with its items built from the steps: a^r at the departure vertex when
+    # r != 0, then the crossing
+    g, (w,) = gw
+    roots = (
+        tuple(gbs._normalize_steps(g, w.items)[:2]),
+        tuple(gbs._normalize_steps(g, w.items + w.items)[:2]),
+    )
+    seen = set()
+    for x, states in gbs._ball_walk(g, w.base, 4, 300, roots):
+        assert x not in seen
+        seen.add(x)
+        items = []
+        for c, r in x:
+            e = g.edge(c.edge)
+            if r:
+                items.append(Pow(e.origin if c.sign > 0 else e.terminus, r))
+            items.append(c)
+        assert gbs._normalize_steps(g, items)[:2] == (list(x), 0)
+        assert list(states) == [
+            gbs._normalize_steps(g, items, steps, pending)[:2]
+            for steps, pending in roots
+        ]
 
 
 # -- modular homomorphism ----------------------------------------------------

@@ -1,6 +1,8 @@
 """Each experiment script in scripts/ runs to completion on tiny arguments,
 and the package runs as a module."""
 
+import collections
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -54,6 +56,28 @@ def test_census_script_over_cap_fails_cleanly():
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "CENSUS_MAX_BUDGET" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_census_rows_match_each_budget():
+    # the script tallies one enumeration at the top budget; each row must
+    # count what the census at its own budget lists
+    spec = importlib.util.spec_from_file_location(
+        "enumerate_small", ROOT / "scripts" / "enumerate_small.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rows = script.census_rows(5)
+    assert [row["budget"] for row in rows] == list(range(6))
+    for row in rows:
+        orbs = sp.enumerate_orbifolds(row["budget"])
+        hyperbolic = [o for o in orbs if sp.is_hyperbolic(o)]
+        small = [sp.is_small(o).family for o in hyperbolic if sp.is_small(o).small]
+        families = collections.Counter(str(f) for f in small)
+        assert row["total"] == len(orbs)
+        assert row["hyperbolic"] == len(hyperbolic)
+        assert row["small"] == len(small)
+        assert row["small_by_family"] == dict(sorted(families.items()))
+        assert row["finite_mcg"] == sum(sp.has_finite_mcg(o).finite for o in hyperbolic)
 
 
 def test_module_entry_point():
