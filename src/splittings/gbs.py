@@ -236,18 +236,21 @@ def _rev(c: Cross) -> Cross:
     return Cross(c.edge, -c.sign)
 
 
+# The crossing helpers take an indexed graph and a crossing of one of its
+# edges, so they read the index without validating again.
+
 def _dep_vertex(g: LabeledGraph, c: Cross) -> str:
-    e = g.edge(c.edge)
+    e = g.index.edges[c.edge]
     return e.origin if c.sign > 0 else e.terminus
 
 
 def _arr_vertex(g: LabeledGraph, c: Cross) -> str:
-    e = g.edge(c.edge)
+    e = g.index.edges[c.edge]
     return e.terminus if c.sign > 0 else e.origin
 
 
 def _dep_label(g: LabeledGraph, c: Cross) -> int:
-    e = g.edge(c.edge)
+    e = g.index.edges[c.edge]
     return e.lam if c.sign > 0 else e.mu
 
 
@@ -326,35 +329,50 @@ def tree_path(g: LabeledGraph, frm: str, to: str) -> list[Cross]:
     return ups + downs
 
 
+def _letter_route(g: LabeledGraph, b: str, kind, name, k) -> list[Item]:
+    """The items of one surface letter as a closed path at b: the tree
+    route to the letter's start, its power or crossing, and the tree route
+    back. A list, not a tuple: CPython 3.11 keeps freed 20-item tuples on a
+    free list it never reuses, so per-call route tuples would pile up there."""
+    if kind == "a":
+        if name not in g.index.depth:
+            raise InvalidPath(f"unknown vertex {name!r} in letter a[{name}]")
+        if k == 0:
+            return []
+        route = tree_path(g, b, name)
+        route.append(Pow(name, k))
+        return route + tree_path(g, name, b)
+    if kind == "t":
+        e = g.index.edges.get(name)
+        if e is None:
+            raise InvalidPath(f"unknown edge {name!r} in letter t[{name}]")
+        if k not in (+1, -1):
+            raise InvalidPath(f"crossing exponent must be +-1, got {k}")
+        start = e.origin if k > 0 else e.terminus
+        end = e.terminus if k > 0 else e.origin
+        route = tree_path(g, b, start)
+        route.append(Cross(e.id, k))
+        return route + tree_path(g, end, b)
+    raise InvalidPath(f"unknown letter kind {kind!r}")
+
+
 def make_word(g: LabeledGraph, letters: Iterable[tuple], base: Optional[str] = None) -> GroupWord:
     """Build a closed word from surface letters, routing each letter through
     the spanning tree: a[v]^n conjugates a vertex power to the base, t[e]
-    crosses e between tree connectors."""
+    crosses e between tree connectors. Each distinct letter is routed once
+    per call and its items are shared by every later copy; the type of the
+    exponent is part of the key, so letters that are equal but print
+    differently (exponent True and 1) keep their own items."""
     g = validate_graph(g)
     b = base if base is not None else g.base
     items: list[Item] = []
+    routes: dict[tuple, list[Item]] = {}
     for kind, name, k in letters:
-        if kind == "a":
-            if name not in g.index.depth:
-                raise InvalidPath(f"unknown vertex {name!r} in letter a[{name}]")
-            if k == 0:
-                continue
-            items += tree_path(g, b, name)
-            items.append(Pow(name, k))
-            items += tree_path(g, name, b)
-        elif kind == "t":
-            e = g.index.edges.get(name)
-            if e is None:
-                raise InvalidPath(f"unknown edge {name!r} in letter t[{name}]")
-            if k not in (+1, -1):
-                raise InvalidPath(f"crossing exponent must be +-1, got {k}")
-            start = e.origin if k > 0 else e.terminus
-            end = e.terminus if k > 0 else e.origin
-            items += tree_path(g, b, start)
-            items.append(Cross(e.id, k))
-            items += tree_path(g, end, b)
-        else:
-            raise InvalidPath(f"unknown letter kind {kind!r}")
+        key = (kind, name, k, type(k))
+        route = routes.get(key)
+        if route is None:
+            route = routes[key] = _letter_route(g, b, kind, name, k)
+        items += route
     return validate_word(g, GroupWord(b, tuple(items)))
 
 
@@ -557,15 +575,16 @@ def irreducibility_witness(
     irreducibility, finding none only exhausts the budget (a
     semi-decision)."""
     g = validate_graph(g)
-    pool: list[GroupWord] = []
+    pool: list[tuple[GroupWord, GroupWord]] = []  # (element, its inverse)
     for w, seq in _elements(g, search_budget(L)):
         if not seq:
             continue
-        for w1 in pool:
-            comm = concat(concat(w1, w), concat(inverse(w1), inverse(w)))
+        w_inv = inverse(w)
+        for w1, w1_inv in pool:
+            comm = concat(concat(w1, w), concat(w1_inv, w_inv))
             if not is_elliptic(g, comm):
                 return (w1, w)
-        pool.append(w)
+        pool.append((w, w_inv))
     return None
 
 
@@ -671,18 +690,60 @@ def classify_elementary(g: LabeledGraph) -> Classification:
     return Classification("generic")
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below
+# PRIME_TEST_LIMIT (Sorenson and Webster, Math. Comp. 86 (2017)).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over _PRIME_BASES for 41 < n < PRIME_TEST_LIMIT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _is_prime_power(n: int) -> bool:
+    """Whether |n| = p^k for a prime p and k >= 1. A prime factor <= 41
+    settles it by division. Otherwise every prime factor exceeds 41, so n
+    is reduced to its least perfect-power root (exponents k with
+    43^k <= n) and the root is tested for primality; such an n at or over
+    PRIME_TEST_LIMIT raises SemanticError."""
     n = abs(n)
     if n < 2:
         return False
-    p = 2
-    while p * p <= n:
+    for p in _PRIME_BASES:
         if n % p == 0:
             while n % p == 0:
                 n //= p
             return n == 1
-        p += 1
-    return True  # n itself prime
+    if n >= PRIME_TEST_LIMIT:
+        raise SemanticError(
+            f"cannot decide whether {n} is a prime power: it is over the cap"
+            f" PRIME_TEST_LIMIT = {PRIME_TEST_LIMIT} of the deterministic"
+            " primality test"
+        )
+    # n < 2^82, so a float k-th root (k >= 2) is within 2^-11 of an
+    # integer root
+    k = 2
+    while 43 ** k <= n:
+        r = round(n ** (1 / k))
+        if r ** k == n:
+            n = r
+        else:
+            k += 1
+    return _is_prime(n)
 
 
 def _graph_digest(g: LabeledGraph) -> str:

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +18,8 @@ from splittings.errors import (
 )
 
 from conftest import INPUTS
+
+SRC = INPUTS.parent / "src"
 
 
 def run(*argv):
@@ -315,6 +320,29 @@ class TestHostileInput:
         code, out, err = run("lattice", "verify", str(p))
         assert code == 1 and out == ""
         assert f"E = {n}" in err and "LATTICE_MAX_EDGES" in err and "keep" in err
+
+    def test_report_on_large_prime_loop_is_fast(self, tmp_path):
+        # 10^18 + 3 is prime; trial division would take about 10^9 steps
+        p = tmp_path / "bs1big.txt"
+        p.write_text("[gbs]\nvertex v\nedge e: v(1) -- v(1000000000000000003)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            q for q in (str(SRC), env.get("PYTHONPATH")) if q
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "splittings", "gbs", "report", str(p)],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "BS(1,1000000000000000003): D_co = JSJ space" in proc.stdout
+
+    def test_report_over_prime_test_cap_exit_1(self, tmp_path):
+        p = tmp_path / "mersenne89.txt"
+        p.write_text(f"[gbs]\nvertex v\nedge e: v(1) -- v({2**89 - 1})\n")
+        code, out, err = run("gbs", "report", str(p))
+        assert code == 1 and out == ""
+        cap = sp.gbs.PRIME_TEST_LIMIT
+        assert err.startswith("error:") and f"PRIME_TEST_LIMIT = {cap}" in err
 
     def test_census_over_cap_exit_1(self, monkeypatch):
         def no_work(*args):

@@ -475,6 +475,29 @@ class TestJsjReport:
         rep = sp.jsj_report(sp.bs(1, 6))
         assert rep.verdict("compatibility") == "D_co trivial"
 
+    def test_prime_power_matches_trial_division(self):
+        def by_trial_division(n):
+            p = 2
+            while p * p <= n:
+                if n % p == 0:
+                    while n % p == 0:
+                        n //= p
+                    return n == 1
+                p += 1
+            return n >= 2
+
+        for n in range(10**5):
+            assert gbs._is_prime_power(n) == by_trial_division(n), n
+            assert gbs._is_prime_power(-n) == gbs._is_prime_power(n)
+
+    def test_prime_power_beyond_trial_division(self):
+        p, q = 10**9 + 7, 10**9 + 9
+        assert gbs._is_prime_power(p**2) and gbs._is_prime_power(1000003**3)
+        assert not gbs._is_prime_power(p * q)
+        # a prime factor <= 41 settles any size, over the cap too
+        assert gbs._is_prime_power(3**200)
+        assert not gbs._is_prime_power(6 * 10**100)
+
     def test_bs24_out_note(self):
         rep = sp.jsj_report(sp.bs(2, 4))
         assert rep.verdict("divisibility") == "fails at some vertex"

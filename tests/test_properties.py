@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
 import splittings as sp
@@ -92,6 +93,64 @@ def gbs_graphs(draw):
 def graph_with_words(draw, count):
     g = draw(gbs_graphs())
     return g, [sp.make_word(g, tuple(draw(letters_for(g)))) for _ in range(count)]
+
+
+def routed_word(g, letters, base=None):
+    # make_word without its per-call memo: every letter routed through the
+    # spanning tree anew
+    b = base if base is not None else g.base
+    items = []
+    for kind, name, k in letters:
+        if kind == "a":
+            if name not in g.vertices:
+                raise sp.InvalidPath(f"unknown vertex {name!r} in letter a[{name}]")
+            if k == 0:
+                continue
+            items += gbs.tree_path(g, b, name) + [Pow(name, k)]
+            items += gbs.tree_path(g, name, b)
+        else:
+            if name not in {e.id for e in g.edges}:
+                raise sp.InvalidPath(f"unknown edge {name!r} in letter t[{name}]")
+            if k not in (1, -1):
+                raise sp.InvalidPath(f"crossing exponent must be +-1, got {k}")
+            e = g.edge(name)
+            start, end = (e.origin, e.terminus) if k > 0 else (e.terminus, e.origin)
+            items += gbs.tree_path(g, b, start) + [Cross(e.id, k)]
+            items += gbs.tree_path(g, end, b)
+    return sp.validate_word(g, sp.GroupWord(b, tuple(items)))
+
+
+@given(gbs_graphs(), st.data())
+def test_make_word_matches_routing_each_letter(g, data):
+    # a few distinct letters drawn into a long list, so most letters repeat;
+    # each exponent 1 comes with a twin of exponent True, which equals 1 but
+    # prints differently, so it must not share the items of the 1
+    alphabet = [("a", v, n) for v in g.vertices for n in (-2, -1, 0, 1, 2)]
+    alphabet += [("t", e.id, k) for e in g.edges for k in (1, -1)]
+    pool = data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=4))
+    pool += [(kind, name, True) for kind, name, k in pool if k == 1]
+    letters = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    base = data.draw(st.sampled_from((None,) + g.vertices))
+    w = sp.make_word(g, letters, base)
+    ref = routed_word(g, letters, base)
+    assert w == ref and repr(w) == repr(ref)
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [
+        (("t", "e", 1), ("t", "e", 2), ("a", "zz", 1), ("t", "e", 2)),
+        (("a", "u", 1), ("a", "zz", 1), ("a", "u", 1), ("a", "zz", 1)),
+        (("t", "f", -1), ("t", "f", 1), ("t", "nope", 1), ("a", "zz", 2)),
+    ],
+)
+def test_make_word_repeated_bad_letter(letters):
+    # the error is the reference construction's, from the first bad letter
+    with pytest.raises(sp.InvalidPath) as expected:
+        routed_word(M3, letters)
+    with pytest.raises(sp.InvalidPath) as got:
+        sp.make_word(M3, letters)
+    assert str(got.value) == str(expected.value)
 
 
 @given(graph_with_words(2))
