@@ -6,20 +6,12 @@ Usage: python3 scripts/collapse_lattice.py [--words N] [--maxlen L] [--seed S]
 
 import argparse
 import itertools
-from dataclasses import dataclass
 
 import splittings as sp
 from splittings import graph, tree_arithmetic as ta
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
-    words: int = 100
-    maxlen: int = 6
-    seed: int = 0
-
-
-def main(cfg):
+def main(count, maxlen, seed):
     g = graph(
         ("u", "v"),
         (("e", "u", "u", 2, 3), ("ep", "v", "v", 2, 3), ("f", "u", "v", 2, 2)),
@@ -30,7 +22,7 @@ def main(cfg):
     primes = sorted(ta.prime_factors(full), key=lambda k: sorted(k.kept))
     print("prime factors:", ", ".join("{" + ",".join(sorted(p.kept)) + "}" for p in primes))
 
-    words = sp.sample_words(g, cfg.words, cfg.maxlen, seed=cfg.seed)
+    words = sp.sample_words(g, count, maxlen, seed=seed)
     subsets = [
         ta.collapse(m, s)
         for r in range(len(m.orbits) + 1)
@@ -42,7 +34,7 @@ def main(cfg):
         checked += 1
     print(f"modularity: {checked} collapse pairs x {len(words)} words, all exact")
 
-    wit = ta.squarefree_witnesses(m, full, cfg.maxlen)
+    wit = ta.squarefree_witnesses(m, full, maxlen)
     def pair_key(kv):
         return sorted(sorted(k.kept) for k in kv[0])
 
@@ -50,7 +42,7 @@ def main(cfg):
         k1, k2 = tuple(pair)
         tag = "{" + ",".join(sorted(k1.kept)) + "} vs {" + ",".join(sorted(k2.kept)) + "}"
         if w is None:
-            print(f"{tag}: no separating word up to length {cfg.maxlen}")
+            print(f"{tag}: no separating word up to length {maxlen}")
         else:
             l1 = ta.length_in_collapse(m, k1, w)
             l2 = ta.length_in_collapse(m, k2, w)
@@ -63,4 +55,4 @@ if __name__ == "__main__":
     ap.add_argument("--maxlen", type=int, default=6)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    main(LatticeConfig(words=args.words, maxlen=args.maxlen, seed=args.seed))
+    main(args.words, args.maxlen, args.seed)

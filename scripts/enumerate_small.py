@@ -8,16 +8,9 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 import splittings as sp
 from splittings.orbifold import _mcg, _small
-
-
-@dataclass(frozen=True)
-class CensusConfig:
-    budget: int = 6
-    as_json: bool = False
 
 
 def least_budget(o):
@@ -60,9 +53,9 @@ def census_rows(budget):
     return rows
 
 
-def main(cfg):
-    rows = census_rows(cfg.budget)
-    if cfg.as_json:
+def main(budget, as_json):
+    rows = census_rows(budget)
+    if as_json:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return
     print(f"{'budget':>6} {'total':>7} {'hyperb':>7} {'small':>6} {'finMCG':>7}  families")
@@ -80,6 +73,6 @@ if __name__ == "__main__":
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
     try:
-        main(CensusConfig(budget=args.budget, as_json=args.json))
+        main(args.budget, args.json)
     except sp.SplittingsError as exc:
         sys.exit(f"error: {exc}")

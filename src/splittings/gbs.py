@@ -93,9 +93,6 @@ class LabeledGraph:
             raise SemanticError(f"no edge named {eid!r}")
         return e
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self.vertices
-
 
 @dataclass(frozen=True, eq=False)
 class GraphIndex:
@@ -256,27 +253,9 @@ def _dep_label(g: LabeledGraph, c: Cross) -> int:
 
 def validate_word(g: LabeledGraph, w: GroupWord) -> GroupWord:
     """Check path-consistency: each item departs from the vertex where the
-    previous one ends, and the path closes up at the base."""
-    if not g.has_vertex(w.base):
-        raise InvalidPath(f"base {w.base!r} is not a vertex")
-    edges = validate_graph(g).index.edges
-    cur = w.base
-    for item in w.items:
-        if isinstance(item, Pow):
-            if item.vertex != cur:
-                raise InvalidPath(f"power at {item.vertex!r} but path is at {cur!r}")
-            continue
-        e = edges.get(item.edge)
-        if e is None:
-            raise SemanticError(f"no edge named {item.edge!r}")
-        dep, arr = (e.origin, e.terminus) if item.sign > 0 else (e.terminus, e.origin)
-        if dep != cur:
-            raise InvalidPath(
-                f"crossing of {item.edge!r} departs {dep!r} but path is at {cur!r}"
-            )
-        cur = arr
-    if cur != w.base:
-        raise InvalidPath(f"path ends at {cur!r}, not at base {w.base!r}")
+    previous one ends, and the path closes up at the base. This is the
+    linear Britton pass with its output discarded."""
+    _linear_reduce(validate_graph(g), w)
     return w
 
 
@@ -373,7 +352,10 @@ def make_word(g: LabeledGraph, letters: Iterable[tuple], base: Optional[str] = N
         if route is None:
             route = routes[key] = _letter_route(g, b, kind, name, k)
         items += route
-    return validate_word(g, GroupWord(b, tuple(items)))
+    # routes are closed paths at b, so only the base itself can be wrong
+    if b not in g.index.depth:
+        raise InvalidPath(f"base {b!r} is not a vertex")
+    return GroupWord(b, tuple(items))
 
 
 # -- Britton reduction -----------------------------------------------------------
@@ -394,22 +376,40 @@ class NormalForm:
 def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross], int, str]]:
     """Stack pass yielding [(crossing or None, following power, vertex)].
     Once a crossing is buried under a later one its preceding power is
-    frozen and pinch-free, so the output is Britton-reduced."""
+    frozen and pinch-free, so the output is Britton-reduced. The top entry's
+    vertex is where the path stands, so the pass also checks the path as it
+    walks: the base is a vertex, each item departs from the current vertex,
+    and the path closes up at the base."""
     edges = g.index.edges
+    if w.base not in g.index.depth:
+        raise InvalidPath(f"base {w.base!r} is not a vertex")
     out: list[tuple[Optional[Cross], int, str]] = [(None, 0, w.base)]
     for item in w.items:
         c, p, v = out[-1]
         if isinstance(item, Pow):
+            if item.vertex != v:
+                raise InvalidPath(f"power at {item.vertex!r} but path is at {v!r}")
             out[-1] = (c, p + item.n, v)
             continue
-        e = edges[item.edge]
-        d, a = (e.lam, e.mu) if item.sign > 0 else (e.mu, e.lam)
+        e = edges.get(item.edge)
+        if e is None:
+            raise SemanticError(f"no edge named {item.edge!r}")
+        if item.sign > 0:
+            dep, arr, d, a = e.origin, e.terminus, e.lam, e.mu
+        else:
+            dep, arr, d, a = e.terminus, e.origin, e.mu, e.lam
+        if dep != v:
+            raise InvalidPath(
+                f"crossing of {item.edge!r} departs {dep!r} but path is at {v!r}"
+            )
         if c is not None and c.edge == item.edge and c.sign == -item.sign and p % d == 0:
             out.pop()
             c2, p2, v2 = out[-1]
             out[-1] = (c2, p2 + p // d * a, v2)
         else:
-            out.append((item, 0, e.terminus if item.sign > 0 else e.origin))
+            out.append((item, 0, arr))
+    if out[-1][2] != w.base:
+        raise InvalidPath(f"path ends at {out[-1][2]!r}, not at base {w.base!r}")
     return out
 
 
@@ -445,7 +445,6 @@ def _reduce(g: LabeledGraph, w: GroupWord):
     """The reduction core shared by every length consumer: the indexed
     graph, the linear pass, and the cyclic pass over it."""
     g = validate_graph(g)
-    validate_word(g, w)
     linear = _linear_reduce(g, w)
     return g, linear, _cyclic_reduce(g, linear)
 
@@ -591,16 +590,15 @@ def irreducibility_witness(
 def modular_homomorphism(g: LabeledGraph, w: GroupWord) -> Fraction:
     """Product of lam/mu over forward crossings and mu/lam over backward
     ones; a homomorphism to the nonzero rationals, trivial on vertex
-    powers."""
+    powers. Read off the crossings the linear pass keeps: a pinch removes
+    lam/mu together with mu/lam."""
     g = validate_graph(g)
-    validate_word(g, w)
     edges = g.index.edges
     num = den = 1
-    for item in w.items:
-        if isinstance(item, Cross):
-            e = edges[item.edge]
-            num *= e.lam if item.sign > 0 else e.mu
-            den *= e.mu if item.sign > 0 else e.lam
+    for c, _, _ in _linear_reduce(g, w)[1:]:
+        e = edges[c.edge]
+        num *= e.lam if c.sign > 0 else e.mu
+        den *= e.mu if c.sign > 0 else e.lam
     return Fraction(num, den)
 
 
@@ -886,9 +884,12 @@ def _tree_distance(x: Sequence[Step], y: Sequence[Step]) -> int:
 
 State = tuple[list[Step], int]
 
+# the ball oracle walks at most this many vertices of the coset ball
+ORACLE_MAX_VERTICES = 512
+
 
 def _ball_walk(
-    g: LabeledGraph, base: str, radius: int, max_vertices: int, roots: Sequence[State] = ()
+    g: LabeledGraph, base: str, radius: int, max_vertices: int, roots: Sequence[State]
 ) -> Iterator[tuple[tuple[Step, ...], Sequence[State]]]:
     """Breadth-first walk of the radius-R ball around the base coset,
     truncated at max_vertices. Each vertex x comes with one state per root
@@ -930,12 +931,6 @@ def _ball_walk(
             break
 
 
-def _ball(g: LabeledGraph, base: str, radius: int, max_vertices: int) -> list[tuple[Step, ...]]:
-    """Vertices of the radius-R ball around the base coset, breadth-first,
-    truncated at max_vertices."""
-    return [x for x, _ in _ball_walk(g, base, radius, max_vertices)]
-
-
 @dataclass(frozen=True)
 class OracleResult:
     value: int
@@ -945,21 +940,16 @@ class OracleResult:
     vertices_used: int
     reason: str = ""
 
-    def __int__(self) -> int:
-        return self.value
 
-
-def ball_displacement_oracle(
-    g: LabeledGraph, w: GroupWord, radius: int, max_vertices: int = 512
-) -> OracleResult:
+def ball_displacement_oracle(g: LabeledGraph, w: GroupWord, radius: int) -> OracleResult:
     """Independent translation-length computation from tree geometry:
     max(d(x, w^2 x) - d(x, w x), 0) equals the translation length at every
     vertex x. w and w^2 are normalized once; the breadth-first walk of the
     (truncated) ball carries the states of w x and w^2 x, each resumed from
-    its parent's by one step. The value is read at the base, and a vertex
-    that disagrees raises IdentityViolation as soon as it is made. The
-    validity flag is set when the radius exceeds the word's reach plus the
-    computed value."""
+    its parent's by one step, and stops at ORACLE_MAX_VERTICES vertices. The
+    value is read at the base, and a vertex that disagrees raises
+    IdentityViolation as soon as it is made. The validity flag is set when
+    the radius exceeds the word's reach plus the computed value."""
     g = validate_graph(g)
     validate_word(g, w)
     w_steps, w_pending, reach = _normalize_steps(g, w.items)
@@ -967,7 +957,7 @@ def ball_displacement_oracle(
     roots = ((w_steps, w_pending), (ww_steps, ww_pending))
     value: Optional[int] = None
     used = 0
-    for x, ((wx, _), (wwx, _)) in _ball_walk(g, w.base, radius, max_vertices, roots):
+    for x, ((wx, _), (wwx, _)) in _ball_walk(g, w.base, radius, ORACLE_MAX_VERTICES, roots):
         used += 1
         f = max(_tree_distance(x, wwx) - _tree_distance(x, wx), 0)
         if value is None:

@@ -42,8 +42,6 @@ class Report:
     operation: str
     verdicts: list[Verdict] = field(default_factory=list)
     values: dict[str, str] = field(default_factory=dict)
-    witnesses: dict[str, str] = field(default_factory=dict)
-    hypotheses: list[str] = field(default_factory=list)
     provenance: dict[str, str] = field(default_factory=dict)
     seed: Optional[int] = None
 
@@ -75,8 +73,8 @@ class Report:
                 for v in self.verdicts
             ],
             "values": dict(sorted(self.values.items())),
-            "witnesses": dict(sorted(self.witnesses.items())),
-            "hypotheses": list(self.hypotheses),
+            "witnesses": {},
+            "hypotheses": [],
         }
 
     def to_json(self) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -595,6 +596,78 @@ class TestHostileInput:
             for argv in commands:
                 code, _, err = run(*argv, str(p))
                 assert code in (0, 1), (mutant, argv, err)
+
+
+# sha256 of stdout and the exit code of every command form the benchmark
+# runs on inputs/ (bench/workloads.py INPUT_COMMANDS), in text, and of the
+# --json forms of TestDeterminism; a change to default output must update
+# these on purpose
+PINNED_OUTPUT = [
+    (("orbifold", "analyze", "mirror_disc.txt"),
+     0, "fe06716d10107fe903bb414b4c5e688872259979f79cf67282d523de676ac26b"),
+    (("orbifold", "analyze", "pants.txt"),
+     0, "7efc9d4341ebf8f126d132ae088cc4c27be4da23b8ec9892a39bea3e258d7d87"),
+    (("orbifold", "analyze", "turnover.txt"),
+     0, "eb25733e13f5c1837e1cfa99a1f42001433af88a1faa66605e7bf8f7525566ce"),
+    (("gbs", "report", "bs14.txt"),
+     0, "ab78c1386988e02a3b0e5ced0a97eaafcc396498905faed3216e4e424247ab68"),
+    (("gbs", "report", "bs16.txt"),
+     0, "e23fae942a311deb8ea5858ff82d19e2cc109e7263f2612a19c058896170db3a"),
+    (("gbs", "report", "bs23.txt"),
+     0, "0f06cd43a97e2059bbec3e83ced06510f29c60ce49781cd8f3ec73cd4cbfc2ce"),
+    (("gbs", "report", "bs24.txt"),
+     0, "c25ff12744081a114ba114b3e0f2081aaf4db565fefb282232afe84497cd07eb"),
+    (("gbs", "report", "m3.txt"),
+     0, "5822ddcc2fc42da47b48bd5478c764b2ddc25b1eeaf0dd986f472bcceff33b2f"),
+    (("gbs", "length", "bs14.txt", "--word", "t"),
+     0, "15bdf110ab69beacd3a9ce81847c166532d6d0af3b048a2d88259f907a20b355"),
+    (("gbs", "length", "bs16.txt", "--word", "t"),
+     0, "2482fe17efd3632e26c5a667b91bca8b1da044d6b3ade16dc6956251505b7f84"),
+    (("gbs", "length", "bs23.txt", "--word", "atat", "--oracle", "10"),
+     0, "3d7da340f49a431608175f2f8c521d84bf1198ee69737a96133fcb05b14c31d3"),
+    (("gbs", "length", "bs24.txt", "--word", "t", "--oracle", "8"),
+     0, "7dd24b56e7d84d99c09b828b80e1535105944c56e17941896e513c9139b55006"),
+    (("gbs", "length", "m3.txt", "--word", "tetep", "--oracle", "10"),
+     0, "ddf09992b3021a6d14d99477765de886bd9f6f615446ceb4e59fc902bd76544e"),
+    (("lattice", "verify", "m3.txt", "--words", "10", "--maxlen", "6", "--seed", "13"),
+     0, "18cdd68b1461460e230f6d0a07da8fd10dbe3830333f9c0a4c17127bc4e0a139"),
+    (("cylinders", "quotient", "torus_cycle.txt"),
+     0, "844f91df571eff93570c028378bea1fbdd1639b76fd96f74ee52beb3fe41956b"),
+    (("cylinders", "quotient", "tripods.txt"),
+     0, "49af8ad5d80e3851a91b5f06e0079b5fedd67d3335204b92cc5f1ae4c0224ab9"),
+    (("cylinders", "quotient", "tripods.txt", "--collapse", "--json"),
+     0, "77eed2221c60c7e6a1f1b2707372b3398facc444cd87a31be746709aeb0d2d94"),
+    (("export", "dot", "bs23.txt"),
+     0, "c894db6d52e945cbef6342c9ac0e38bffac349a42f62179c90db613065dbfcdf"),
+    (("export", "dot", "m3.txt"),
+     0, "767cb67a65d1bff1710809370c44e4c1a8fba09aaa1d54833fbb36a11007322e"),
+    (("export", "dot", "torus_cycle.txt"),
+     0, "a789572eb5a9e5b6181c2deadacc941e066bae6822c5b4868431b5b67ecbd33a"),
+    (("export", "dot", "tripods.txt", "--skeleton"),
+     0, "2c62caaa6117af82e397fec90de6fee11b36aa24c5ef505e9a7277836cb7c7cb"),
+    (("export", "dot", "tripods.txt", "--collapse"),
+     0, "5a52b6271581424264758752ec19caba5c94b4d3833f1d92bf00fbbbd13a8a74"),
+    (("gbs", "report", "bs23.txt", "--json"),
+     0, "96f8d0d51b304bcddac8291d386a1151b8564cc7bb0bcc79910ce8b6b41a644d"),
+    (("gbs", "length", "bs23.txt", "--word", "atat", "--oracle", "8", "--json"),
+     0, "f82955101c6b56c10614a401c835030fb86c75f177d84a3e84b71f1e723e24bf"),
+    (("orbifold", "analyze", "mirror_disc.txt", "--json"),
+     0, "371f8dd87d2023e55a0caa300baae3ad9d51f0f7e486c048df22722229c4d5bd"),
+    (("lattice", "verify", "m3.txt", "--words", "25", "--maxlen", "6", "--seed", "11", "--json"),
+     0, "05cc763ea1b797d7a093161a01b091c9c96e260a88938b30826188bc98112b36"),
+    (("cylinders", "quotient", "tripods.txt", "--json"),
+     0, "5061073080e86b20d342b793778b2c29825bf069019922f53a153cb8cd4a03fb"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, sha", PINNED_OUTPUT, ids=[" ".join(a) for a, _, _ in PINNED_OUTPUT]
+)
+def test_pinned_output(argv, code, sha):
+    argv = [str(INPUTS / a) if a.endswith(".txt") else a for a in argv]
+    got, out, _ = run(*argv)
+    assert got == code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
 
 
 class TestDeterminism:

@@ -9,7 +9,7 @@ import pytest
 import splittings as sp
 from splittings import cli_io, gbs
 from splittings.errors import IdentityViolation
-from splittings.gbs import _ball, _tree_distance, _normalize_steps
+from splittings.gbs import _ball_walk, _tree_distance, _normalize_steps
 
 from conftest import INPUTS
 
@@ -18,19 +18,23 @@ def W(g, *letters):
     return sp.make_word(g, letters)
 
 
+def ball_vertices(g, base, radius, max_vertices):
+    return [x for x, _ in _ball_walk(g, base, radius, max_vertices, ())]
+
+
 class TestCosetModel:
     def test_base_vertex_is_empty_tuple(self, bs12):
-        ball = _ball(bs12, "v", 1, 64)
+        ball = ball_vertices(bs12, "v", 1, 64)
         assert () in ball
 
     def test_ball_radius_one_bs12(self, bs12):
         # neighbors of the base coset: t-edge up (1 residue) and 2 residues
         # down through the reversed edge
-        ball = _ball(bs12, "v", 1, 64)
+        ball = ball_vertices(bs12, "v", 1, 64)
         assert len(ball) == 4
 
     def test_distance_along_path(self, bs12):
-        ball = _ball(bs12, "v", 2, 64)
+        ball = ball_vertices(bs12, "v", 2, 64)
         far = [x for x in ball if len(x) == 2]
         assert far
         assert _tree_distance((), far[0]) == 2
@@ -74,7 +78,7 @@ class TestOracleValues:
 
     def test_int_conversion(self, bs12):
         res = sp.ball_displacement_oracle(bs12, W(bs12, ("t", "e", 1)), 4)
-        assert int(res) == 1
+        assert res.value == 1
 
 
 class TestBallCheck:
@@ -83,7 +87,7 @@ class TestBallCheck:
 
     @pytest.fixture
     def one_wrong_vertex(self, bs23, monkeypatch):
-        target = _ball(bs23, "v", 1, 64)[1]
+        target = ball_vertices(bs23, "v", 1, 64)[1]
         real = gbs._tree_distance
 
         def mutant(x, y):
@@ -102,6 +106,19 @@ class TestBallCheck:
                 "--oracle", "10"]
         assert cli_io.run(argv, stdout=out, stderr=err) == 2
         assert "identity violation" in err.getvalue()
+
+    def test_cli_compares_when_flag_invalid(self, monkeypatch):
+        # the value read at the base is exact at any radius, so the CLI
+        # compares it even when the ball did not cover the word's reach
+        def wrong(g, w, radius):
+            return gbs.OracleResult(3, False, radius, 4, 1, "radius too small")
+
+        monkeypatch.setattr(gbs, "ball_displacement_oracle", wrong)
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["gbs", "length", str(INPUTS / "bs23.txt"), "--word", "atat",
+                "--oracle", "1"]
+        assert cli_io.run(argv, stdout=out, stderr=err) == 2
+        assert "oracle value 3 disagrees with Britton length 2" in err.getvalue()
 
 
 class TestAgreement:

@@ -153,6 +153,96 @@ def test_make_word_repeated_bad_letter(letters):
     assert str(got.value) == str(expected.value)
 
 
+def reference_validate(g, w):
+    # the path check as a walk of its own, the way validate_word ran it
+    # before it rode on the linear Britton pass
+    if w.base not in g.vertices:
+        raise sp.InvalidPath(f"base {w.base!r} is not a vertex")
+    edges = {e.id: e for e in g.edges}
+    cur = w.base
+    for item in w.items:
+        if isinstance(item, Pow):
+            if item.vertex != cur:
+                raise sp.InvalidPath(f"power at {item.vertex!r} but path is at {cur!r}")
+            continue
+        e = edges.get(item.edge)
+        if e is None:
+            raise sp.SemanticError(f"no edge named {item.edge!r}")
+        dep, arr = (e.origin, e.terminus) if item.sign > 0 else (e.terminus, e.origin)
+        if dep != cur:
+            raise sp.InvalidPath(
+                f"crossing of {item.edge!r} departs {dep!r} but path is at {cur!r}"
+            )
+        cur = arr
+    if cur != w.base:
+        raise sp.InvalidPath(f"path ends at {cur!r}, not at base {w.base!r}")
+    return w
+
+
+def corruptions(g, w, data):
+    """One corrupted copy of w per kind: a power moved to a drawn vertex, an
+    inserted crossing of a known or an unknown edge, a deleted item, a
+    foreign base, and a truncated tail."""
+    items = list(w.items)
+    vertex = st.sampled_from(g.vertices + ("zz",))
+    out = []
+    powers = [i for i, x in enumerate(items) if isinstance(x, Pow)]
+    if powers:
+        i = data.draw(st.sampled_from(powers))
+        out.append(items[:i] + [Pow(data.draw(vertex), items[i].n)] + items[i + 1:])
+    eid = data.draw(st.sampled_from(tuple(e.id for e in g.edges) + ("nope",)))
+    i = data.draw(st.integers(0, len(items)))
+    out.append(items[:i] + [Cross(eid, data.draw(st.sampled_from((1, -1))))] + items[i:])
+    if items:
+        i = data.draw(st.integers(0, len(items) - 1))
+        out.append(items[:i] + items[i + 1:])
+        out.append(items[:data.draw(st.integers(0, len(items) - 1))])
+    words = [sp.GroupWord(w.base, tuple(x)) for x in out]
+    return words + [sp.GroupWord(data.draw(vertex), w.items)]
+
+
+def word_consumers(g):
+    m = ta.master(g)
+    some = ta.collapse(m, m.orbits[:1])
+    every = ta.collapse(m, m.orbits)
+    return (
+        lambda w: sp.validate_word(g, w),
+        lambda w: sp.translation_length(g, w),
+        lambda w: sp.crossing_sequence(g, w),
+        lambda w: sp.britton_reduce(g, w),
+        lambda w: sp.modular_homomorphism(g, w),
+        lambda w: sp.ball_displacement_oracle(g, w, 1),
+        lambda w: ta.length_in_collapse(m, some, w),
+        lambda w: ta.elliptic_in_lcm(m, w, [some, every]),
+    )
+
+
+@given(gbs_graphs(), st.data())
+def test_word_errors_match_reference_validator(g, data):
+    # every make_word result is a valid path; every consumer of a corrupted
+    # word raises the reference's error, same type and message, or all of
+    # them succeed when the reference does
+    letters = data.draw(letters_for(g))
+    base = data.draw(st.sampled_from((None,) + g.vertices))
+    w = sp.make_word(g, letters, base)
+    reference_validate(g, w)
+    consumers = word_consumers(g)
+    for bad in corruptions(g, w, data):
+        try:
+            reference_validate(g, bad)
+        except sp.SplittingsError as exc:
+            expected = (type(exc), str(exc))
+        else:
+            expected = None
+        for consume in consumers:
+            try:
+                consume(bad)
+            except sp.SplittingsError as exc:
+                assert (type(exc), str(exc)) == expected
+            else:
+                assert expected is None
+
+
 @given(graph_with_words(2))
 def test_conjugacy_invariance_on_random_graphs(gw):
     # the modular map lands in the abelian group Q*, so it is a class
