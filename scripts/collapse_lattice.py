@@ -39,7 +39,7 @@ def main(count, maxlen, seed):
         return sorted(sorted(k.kept) for k in kv[0])
 
     for pair, w in sorted(wit.items(), key=pair_key):
-        k1, k2 = tuple(pair)
+        k1, k2 = sorted(pair, key=lambda k: sorted(k.kept))
         tag = "{" + ",".join(sorted(k1.kept)) + "} vs {" + ",".join(sorted(k2.kept)) + "}"
         if w is None:
             print(f"{tag}: no separating word up to length {maxlen}")

@@ -516,6 +516,17 @@ def _provenance(rep: Report, text: str, seed: Optional[int]) -> None:
     rep.seed = seed
 
 
+def _envelope(operation: str, text: str, seed: Optional[int]) -> dict:
+    """The provenance keys that open each hand-built JSON result; reports
+    carry theirs in Report.to_dict."""
+    return {
+        "operation": operation,
+        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+        "input_digest": digest(text),
+        "seed": seed,
+    }
+
+
 def _named_word(spec, wtext: str, g: gbs.LabeledGraph) -> gbs.GroupWord:
     for wname, letters in spec.words:
         if wname == wtext:
@@ -557,10 +568,7 @@ def _cmd_orbifold_analyze(args, out: TextIO) -> int:
     o: orbifold.Orbifold2 = doc.payload
     fields, note = _verdict_fields(o)
     result: dict = {
-        "operation": "orbifold.analyze",
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
-        "input_digest": digest(text),
-        "seed": args.seed,
+        **_envelope("orbifold.analyze", text, args.seed),
         "boundary_components": orbifold.boundary_components(o),
         "small": None,
         "small_family": None,
@@ -603,10 +611,7 @@ def _cmd_orbifold_enumerate(args, out: TextIO) -> int:
         rows.append(row)
     if args.json:
         obj = {
-            "operation": "orbifold.enumerate",
-            "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
-            "input_digest": digest(f"budget={args.budget}"),
-            "seed": args.seed,
+            **_envelope("orbifold.enumerate", f"budget={args.budget}", args.seed),
             "budget": args.budget,
             "count": len(rows),
             "orbifolds": rows,
@@ -753,10 +758,7 @@ def _cmd_cylinders_quotient(args, out: TextIO) -> int:
     collapsed = cyl.collapse_non_A(q) if args.collapse else None
     if args.json:
         obj = {
-            "operation": "cylinders.quotient",
-            "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
-            "input_digest": digest(text),
-            "seed": args.seed,
+            **_envelope("cylinders.quotient", text, args.seed),
             "hypotheses": spec.hypotheses,
             "quotient": _quotient_json(q),
         }
@@ -845,12 +847,7 @@ def _build_parser() -> _Parser:
     lv = lat.add_parser("verify")
     lv.add_argument("file")
     lv.add_argument("--words", type=_int_at_least(0), default=100)
-    lv.add_argument(
-        "--maxlen",
-        type=_int_at_least(1),
-        default=gbs.search_budget(None),
-        metavar="L",
-    )
+    lv.add_argument("--maxlen", type=_int_at_least(1), default=8, metavar="L")
     common(lv)
     lv.set_defaults(func=_cmd_lattice_verify)
 
@@ -866,7 +863,6 @@ def _build_parser() -> _Parser:
     ed.add_argument("file")
     ed.add_argument("--collapse", action="store_true")
     ed.add_argument("--skeleton", action="store_true")
-    common(ed)
     ed.set_defaults(func=_cmd_export_dot)
     return p
 

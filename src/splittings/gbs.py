@@ -22,7 +22,6 @@ dict reads, tree paths cost O(depth) and reductions O(n) in word items.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -39,26 +38,8 @@ from .errors import (
 )
 from .report import Report, digest
 
+# the length bound of the word searches when the caller names none
 DEFAULT_SEARCH_BUDGET = 8
-SEARCH_BUDGET_ENV = "SPLITTINGS_BUDGET"
-
-
-def search_budget(L: Optional[int] = None) -> int:
-    """Default bound for word searches, overridable via the environment."""
-    if L is not None:
-        return L
-    raw = os.environ.get(SEARCH_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_SEARCH_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise SemanticError(
-            f"{SEARCH_BUDGET_ENV} must be a non-negative integer, got {raw!r}"
-        )
-    return budget
 
 
 # -- graphs -------------------------------------------------------------------
@@ -536,37 +517,45 @@ def axis_gap(g: LabeledGraph, w1: GroupWord, w2: GroupWord) -> AxisGap:
 
 
 def _elements(g: LabeledGraph, max_len: int) -> Iterator[tuple[GroupWord, list[str]]]:
-    """The walk shared by the word searches: each group element spelled by
-    a freely reduced letter string of length 1..max_len, once, with its
-    cyclic crossing ids. Strings go shortest first, in alphabet order
-    (a[v]^+-1 per vertex, then t[e]^+-1 per edge), and the first string to
-    reach an element yields its word. Elements are keyed by their coset
-    normal form, the state of _normalize_steps, which two words share
-    exactly when they are equal."""
+    """The walk shared by the word searches: each group element other than
+    the identity spelled by a freely reduced letter string of length
+    1..max_len, once, with its cyclic crossing ids. Strings go shortest
+    first, in alphabet order (a[v]^+-1 per vertex, then t[e]^+-1 per edge),
+    and the first string to reach an element yields its word. Elements are
+    keyed by their coset normal form, the state of _normalize_steps, which
+    two words share exactly when they are equal. A string whose element
+    was reached before extends only to elements reached before, so only
+    first strings are extended: a child resumes its parent's state over its
+    letter's route and skips the inverse of the parent's last letter."""
     g = validate_graph(g)
     alphabet = [("a", v, k) for v in g.vertices for k in (1, -1)]
     alphabet += [("t", e.id, k) for e in g.edges for k in (1, -1)]
-    seen: set[tuple] = set()
-    level: list[tuple] = [()]
+    # letter i and its inverse i ^ 1 sit side by side
+    routes = [tuple(_letter_route(g, g.base, *x)) for x in alphabet]
+    identity: tuple = ((), 0)
+    seen = {identity}
+    # (word items, element key, index of the inverse of the last letter)
+    frontier: list[tuple[tuple[Item, ...], tuple, int]] = [((), identity, -1)]
     for _ in range(max_len):
-        level = [
-            s + (x,)
-            for s in level
-            for x in alphabet
-            if not s or s[-1] != (x[0], x[1], -x[2])
-        ]
-        for letters in level:
-            w = make_word(g, letters)
-            steps, pending, _ = _normalize_steps(g, w.items)
-            key = (tuple(steps), pending)
-            if key not in seen:
+        nxt = []
+        for items, (steps, pending), back in frontier:
+            for i, route in enumerate(routes):
+                if i == back:
+                    continue
+                child_steps, child_pending, _ = _normalize_steps(g, route, steps, pending)
+                key = (tuple(child_steps), child_pending)
+                if key in seen:
+                    continue
                 seen.add(key)
+                w = GroupWord(g.base, items + route)
                 _, _, (pairs, _, _) = _reduce(g, w)
                 yield w, [c.edge for c, _ in pairs]
+                nxt.append((w.items, key, i ^ 1))
+        frontier = nxt
 
 
 def irreducibility_witness(
-    g: LabeledGraph, L: Optional[int] = None
+    g: LabeledGraph, L: int = DEFAULT_SEARCH_BUDGET
 ) -> Optional[tuple[GroupWord, GroupWord]]:
     """Search the group elements spelled by letter words of length <= L,
     each once (a word spelling an element already tried is skipped), for
@@ -575,7 +564,7 @@ def irreducibility_witness(
     semi-decision)."""
     g = validate_graph(g)
     pool: list[tuple[GroupWord, GroupWord]] = []  # (element, its inverse)
-    for w, seq in _elements(g, search_budget(L)):
+    for w, seq in _elements(g, L):
         if not seq:
             continue
         w_inv = inverse(w)

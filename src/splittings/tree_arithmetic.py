@@ -92,14 +92,13 @@ def verify_modularity(
 
 
 def squarefree_witnesses(
-    m: MasterSplitting, K: CollapseTree, L: Optional[int] = None
+    m: MasterSplitting, K: CollapseTree, L: int = gbs.DEFAULT_SEARCH_BUDGET
 ) -> dict[frozenset[CollapseTree], Optional[GroupWord]]:
     """For each unordered pair of distinct prime factors of K, search the
     group elements spelled by letter words of length <= L, each once, for
     one separating their length functions. Pairs left unwitnessed within
     the budget map to None (a semi-decision; the distinctness of prime
     factors guarantees a witness exists)."""
-    L = gbs.search_budget(L)
     primes = sorted(prime_factors(K), key=lambda p: sorted(p.kept))
     remaining = {
         frozenset((p1, p2)): (p1.kept, p2.kept)

@@ -277,6 +277,13 @@ class TestRun:
         assert code == 0
         assert "shape=box" in out
 
+    @pytest.mark.parametrize("flag", [("--json",), ("--seed", "1")])
+    def test_export_dot_has_no_json_or_seed(self, flag):
+        # DOT output is the same whatever the flags, so there are none to ignore
+        code, out, err = run("export", "dot", str(INPUTS / "bs23.txt"), *flag)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err and "usage:" in err
+
     def test_export_dot_orbifold_rejected(self):
         code, _, err = run("export", "dot", str(INPUTS / "pants.txt"))
         assert code == 1
@@ -300,18 +307,6 @@ class TestRun:
 
 
 class TestHostileInput:
-    def test_bad_budget_env_exit_1(self, monkeypatch):
-        monkeypatch.setenv("SPLITTINGS_BUDGET", "abc")
-        code, out, err = run("gbs", "report", str(INPUTS / "bs23.txt"))
-        assert code == 1 and out == ""
-        assert "SPLITTINGS_BUDGET" in err
-
-    def test_zero_budget_env_lattice_exit_1(self, monkeypatch):
-        monkeypatch.setenv("SPLITTINGS_BUDGET", "0")
-        code, _, err = run("lattice", "verify", str(INPUTS / "m3.txt"), "--words", "3")
-        assert code == 1
-        assert "length bound" in err
-
     def test_keepless_lattice_over_cap_exit_1(self, tmp_path):
         n = cli_io.LATTICE_MAX_EDGES + 1
         p = tmp_path / "loops.txt"

@@ -291,10 +291,10 @@ class TestElementSearch:
     @pytest.mark.parametrize("L", range(1, 7))
     def test_z2_elements_fill_the_l1_ball(self, bs11, L):
         # BS(1,1) = Z^2 = <a, t>: letter strings of length <= L reach the
-        # 2L(L+1) nonzero points of the L^1 ball of radius L, and the
-        # identity once L >= 4 (first spelled a t a^-1 t^-1)
+        # 2L(L+1) nonzero points of the L^1 ball of radius L; the identity
+        # (first spelled a t a^-1 t^-1) is never yielded
         yielded = list(gbs._elements(bs11, L))
-        assert len(yielded) == 2 * L * (L + 1) + (L >= 4)
+        assert len(yielded) == 2 * L * (L + 1)
         points = set()
         for w, _ in yielded:
             x = sum(i.n for i in w.items if isinstance(i, Pow))
@@ -513,21 +513,3 @@ class TestJsjReport:
         rep = sp.jsj_report(g)
         assert rep.verdict("classification") == "Z"
         assert rep.values["edges_after_reduction"] == "0"
-
-
-class TestSearchBudget:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(gbs.SEARCH_BUDGET_ENV, raising=False)
-        assert gbs.search_budget(None) == gbs.DEFAULT_SEARCH_BUDGET
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(gbs.SEARCH_BUDGET_ENV, "3")
-        assert gbs.search_budget(None) == 3
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(gbs.SEARCH_BUDGET_ENV, "3")
-        assert gbs.search_budget(12) == 12
-
-    def test_env_bounds_witness_search(self, bs23, monkeypatch):
-        monkeypatch.setenv(gbs.SEARCH_BUDGET_ENV, "0")
-        assert sp.irreducibility_witness(bs23) is None

@@ -305,6 +305,53 @@ def test_element_key_is_exact(gw, data):
     assert key(sp.concat(r, w1)) == key(w1)
 
 
+def reference_elements(g, max_len):
+    # the string walk that gbs._elements replaced: every freely reduced
+    # letter string of each length is built and normalized from scratch
+    alphabet = [("a", v, k) for v in g.vertices for k in (1, -1)]
+    alphabet += [("t", e.id, k) for e in g.edges for k in (1, -1)]
+    seen = set()
+    level = [()]
+    for _ in range(max_len):
+        level = [
+            s + (x,)
+            for s in level
+            for x in alphabet
+            if not s or s[-1] != (x[0], x[1], -x[2])
+        ]
+        for letters in level:
+            w = sp.make_word(g, letters)
+            steps, pending, _ = gbs._normalize_steps(g, w.items)
+            key = (tuple(steps), pending)
+            if key not in seen:
+                seen.add(key)
+                yield w, sp.crossing_sequence(g, w)
+
+
+def assert_walk_matches_reference(g, max_len):
+    # the reference reaches the identity too; Britton reduction to the
+    # empty word, not the walk's key, says which yield that is
+    expected = [
+        (w, seq)
+        for w, seq in reference_elements(g, max_len)
+        if sp.britton_reduce(g, w).word.items != ()
+    ]
+    assert list(gbs._elements(g, max_len)) == expected
+
+
+@given(gbs_graphs(), st.integers(0, 3))
+def test_element_walk_matches_string_walk(g, L):
+    assert_walk_matches_reference(g, L)
+
+
+@pytest.mark.parametrize(
+    "g, L", [(sp.validate_graph(sp.bs(1, 1)), 7), (BS23, 6), (M3, 4)],
+    ids=["bs11-L7", "bs23-L6", "m3-L4"],
+)
+def test_element_walk_matches_string_walk_deeper(g, L):
+    assert_walk_matches_reference(g, L)
+
+
 @given(graph_with_words(2))
 def test_cyclic_form_has_no_pinch(gw):
     # checked on the cyclic word itself, independently of the reduction:

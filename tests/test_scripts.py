@@ -1,5 +1,6 @@
-"""Each experiment script in scripts/ runs to completion on tiny arguments,
-and the package runs as a module."""
+"""Each experiment script in scripts/ runs to completion on tiny arguments
+and prints the same under any hash seed, and the package runs as a
+module."""
 
 import collections
 import importlib.util
@@ -15,44 +16,47 @@ import splittings as sp
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("enumerate_small.py", ["--budget", "3"]),
-        ("oracle_agreement.py", ["--words", "5"]),
-        ("collapse_lattice.py", ["--words", "10"]),
-    ],
-)
-def test_script_exits_0(script, args):
+SCRIPT_RUNS = [
+    ("enumerate_small.py", ["--budget", "3"]),
+    ("oracle_agreement.py", ["--words", "5"]),
+    ("collapse_lattice.py", ["--words", "10"]),
+]
+
+
+def run_script(script, args, hash_seed=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("script, args", SCRIPT_RUNS)
+def test_script_exits_0(script, args):
+    proc = run_script(script, args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 
 
+@pytest.mark.parametrize("script, args", SCRIPT_RUNS)
+def test_script_output_ignores_hash_seed(script, args):
+    # set and frozenset order follows PYTHONHASHSEED; printed output must not
+    runs = [run_script(script, args, seed) for seed in ("1", "3")]
+    assert [p.returncode for p in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_census_script_over_cap_fails_cleanly():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     cap = sp.orbifold.CENSUS_MAX_BUDGET
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "enumerate_small.py"),
-         "--budget", str(cap + 1)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_script("enumerate_small.py", ["--budget", str(cap + 1)])
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "CENSUS_MAX_BUDGET" in proc.stderr
     assert "Traceback" not in proc.stderr
