@@ -4,14 +4,17 @@ Every tree considered here is a collapse of a fixed master graph of groups,
 named by the subset of edge orbits it keeps, so any two are compatible by
 construction. Prime factors are the one-edge collapses; refinement is
 containment of kept sets; gcd and lcm are intersection and union. Length
-functions are computed by filtering the master's crossing sequences, which
-realizes the additivity of lengths over prime factors.
+functions filter the master's crossing sequences, so they add over prime
+factors; verify_modularity checks them against lengths on coset paths.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from operator import add
+from typing import Iterable, Optional, Sequence
 
 from . import gbs
 from .errors import SemanticError
@@ -70,25 +73,39 @@ def length_in_collapse(m: MasterSplitting, K: CollapseTree, w: GroupWord) -> int
     return sum(1 for eid in seq if eid in K.kept)
 
 
+def _coset_lengths(shifts: list[Counter], kept: frozenset[str]) -> list[int]:
+    """Per word, the length in the collapse keeping these orbits."""
+    return [max(sum(s[e] for e in kept), 0) for s in shifts]
+
+
 def verify_modularity(
-    m: MasterSplitting,
-    K1: CollapseTree,
-    K2: CollapseTree,
-    words: Iterable[GroupWord],
-) -> bool:
-    """Check l_lcm + l_gcd = l_1 + l_2 on every word. A failure would be a
-    bug in the length machinery, never a counterexample."""
-    union = lcm(K1, K2).kept
-    inter = gcd(K1, K2).kept
+    m: MasterSplitting, collapses: Sequence[CollapseTree], words: Iterable[GroupWord]
+) -> list[tuple[int, int]]:
+    """The index pairs i < j, in itertools.combinations order, where the
+    Britton lengths l_i + l_j differ from the coset-path lengths l_lcm +
+    l_gcd on some word. As d(x, wx) = l(w) + 2 d(x, axis) for a tree isometry
+    (Culler-Morgan), l = max(k(w^2) - k(w), 0) at the base, where k(u) counts
+    the steps on kept orbits of u's normalized coset path. Each word is
+    reduced once. A failure is a bug, never a counterexample."""
+    seqs, shifts = [], []
     for w in words:
-        seq = gbs.crossing_sequence(m.graph, w)
-        l1 = sum(1 for e in seq if e in K1.kept)
-        l2 = sum(1 for e in seq if e in K2.kept)
-        lu = sum(1 for e in seq if e in union)
-        li = sum(1 for e in seq if e in inter)
-        if lu + li != l1 + l2:
-            return False
-    return True
+        seqs.append(gbs.crossing_sequence(m.graph, w))
+        steps, pending, _ = gbs._normalize_steps(m.graph, w.items)
+        twice, _, _ = gbs._normalize_steps(m.graph, w.items, steps, pending)
+        shift = Counter(c.edge for c, _ in twice)
+        shift.subtract(c.edge for c, _ in steps)
+        shifts.append(shift)
+    britton = [[sum(e in K.kept for e in seq) for seq in seqs] for K in collapses]
+    coset: dict[frozenset[str], list[int]] = {}
+    failed = []
+    for (i, K1), (j, K2) in itertools.combinations(enumerate(collapses), 2):
+        union, inter = K1.kept | K2.kept, K1.kept & K2.kept
+        for kept in (union, inter):
+            if kept not in coset:
+                coset[kept] = _coset_lengths(shifts, kept)
+        if list(map(add, britton[i], britton[j])) != list(map(add, coset[union], coset[inter])):
+            failed.append((i, j))
+    return failed
 
 
 def squarefree_witnesses(

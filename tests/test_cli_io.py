@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import splittings as sp
-from splittings import cli_io, cylinders as cyl
+from splittings import cli_io, cylinders as cyl, tree_arithmetic as ta
 from splittings.errors import (
     DocumentSyntaxError,
     IdentityViolation,
@@ -382,6 +382,21 @@ class TestHostileInput:
         [
             ("[orbifold]\nname = x\ngenus = x\n", 3),
             ("[orbifold]\ncone = 2, 3,\n", 2),
+            # past CPython's 4,300-digit limit on integer strings
+            pytest.param(
+                "[gbs]\nedge e: v(" + "1" * 5000 + ") -- v(3)\n", 2, id="long-lam"
+            ),
+            pytest.param(
+                "[gbs]\nedge e: v(2) -- v(" + "1" * 5000 + ")\n", 2, id="long-mu"
+            ),
+            pytest.param(
+                "[orbifold]\ncircle = M(" + "2" * 5000 + ") B\n", 2, id="long-corner"
+            ),
+            pytest.param(
+                "[gbs]\nedge e: v(2) -- v(3)\nword w = a[v]^" + "1" * 5000 + "\n",
+                3,
+                id="long-exponent",
+            ),
         ],
     )
     def test_bad_integer_is_syntax_error(self, text, line, tmp_path):
@@ -436,7 +451,11 @@ class TestHostileInput:
 
     @pytest.mark.parametrize(
         "word, message",
-        [("zz", "bad word letter 'zz'"), ("t[e]^0", "crossing exponent")],
+        [
+            ("zz", "bad word letter 'zz'"),
+            ("t[e]^0", "crossing exponent"),
+            pytest.param("a[a]^" + "1" * 5000, "exponent too long", id="long-exponent"),
+        ],
     )
     def test_bad_word_flag_names_the_flag(self, word, message):
         code, out, err = run("gbs", "length", str(INPUTS / "bs23.txt"), "--word", word)
@@ -663,6 +682,54 @@ def test_pinned_output(argv, code, sha):
     got, out, _ = run(*argv)
     assert got == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha
+
+
+@pytest.fixture
+def keepless_m3(tmp_path):
+    lines = (INPUTS / "m3.txt").read_text().splitlines(keepends=True)
+    p = tmp_path / "m3_all.txt"
+    p.write_text("".join(l for l in lines if not l.startswith("keep")))
+    return str(p)
+
+
+class TestLatticeVerifyCanFail:
+    """Britton lengths are checked against coset-path lengths, so a fault on
+    either side makes lattice verify fail."""
+
+    def assert_fails(self, path):
+        code, out, err = run("lattice", "verify", path)
+        assert code == 2 and "identity violation" in err
+        lines = out.splitlines()
+        assert any(l.startswith("pair {") and l.endswith(": FAILED") for l in lines)
+
+    def test_britton_side_drops_a_crossing(self, keepless_m3, monkeypatch):
+        crossing_sequence = sp.gbs.crossing_sequence
+        monkeypatch.setattr(
+            sp.gbs, "crossing_sequence", lambda g, w: crossing_sequence(g, w)[:-1]
+        )
+        self.assert_fails(keepless_m3)
+
+    def test_coset_side_drops_a_kept_orbit(self, keepless_m3, monkeypatch):
+        coset_lengths = ta._coset_lengths
+        monkeypatch.setattr(
+            ta,
+            "_coset_lengths",
+            lambda shifts, kept: coset_lengths(shifts, frozenset(sorted(kept)[1:])),
+        )
+        self.assert_fails(keepless_m3)
+
+    def test_one_reduction_per_word(self, keepless_m3, monkeypatch):
+        calls = []
+        crossing_sequence = sp.gbs.crossing_sequence
+
+        def counted(g, w):
+            calls.append(w)
+            return crossing_sequence(g, w)
+
+        monkeypatch.setattr(sp.gbs, "crossing_sequence", counted)
+        code, out, _ = run("lattice", "verify", keepless_m3, "--words", "10", "--json")
+        assert code == 0 and json.loads(out)["values"]["pairs"] == "28"
+        assert len(calls) == 10
 
 
 class TestDeterminism:

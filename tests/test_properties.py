@@ -474,6 +474,20 @@ def test_modularity(k1, k2, w):
     assert lu + li == l1 + l2
 
 
+@given(graph_with_words(3))
+def test_no_modularity_failure_on_random_graphs(gw):
+    # every collapse of a random master, including the empty one, so each
+    # Britton length is also checked alone against its coset-path length
+    g, words = gw
+    m = ta.master(g)
+    collapses = [
+        ta.collapse(m, kept)
+        for r in range(len(m.orbits) + 1)
+        for kept in itertools.combinations(m.orbits, r)
+    ]
+    assert ta.verify_modularity(m, collapses, words) == []
+
+
 @given(st.sampled_from(SUBSETS), words_for(M3))
 def test_collapse_never_longer_than_master(k, w):
     full = ta.collapse(MASTER, MASTER.orbits)
