@@ -10,7 +10,7 @@ import sys
 from collections import Counter
 
 import splittings as sp
-from splittings.orbifold import _mcg, _small
+from splittings.orbifold import _census
 
 
 def least_budget(o):
@@ -21,22 +21,26 @@ def least_budget(o):
 
 
 def census_rows(budget):
-    """One row per budget 0..budget from a single enumeration at budget,
-    with chi computed once per orbifold. Each orbifold is tallied at its
+    """One row per budget 0..budget from a single census at budget, which
+    gives each orbifold's chi and verdicts. Each orbifold is tallied at its
     least budget and the rows are running sums."""
+    if budget < 0:
+        return []
     counts = [Counter() for _ in range(budget + 1)]
     families = [Counter() for _ in range(budget + 1)]
-    for o in sp.enumerate_orbifolds(budget) if budget >= 0 else ():
+    census = _census(budget, lambda small, mcg: (small, mcg))
+    for orientable, genus, i, j, chi_numerator, _, verdict in census.rows:
+        o = sp.Orbifold2(orientable, genus, census.cones[i], census.circles[j])
         b = least_budget(o)
         counts[b]["total"] += 1
-        if sp.euler_characteristic(o) >= 0:
+        if chi_numerator >= 0:
             continue
         counts[b]["hyperbolic"] += 1
-        verdict = _small(o)
-        if verdict.small:
+        small, mcg = verdict
+        if small.small:
             counts[b]["small"] += 1
-            families[b][verdict.family] += 1
-        counts[b]["finite_mcg"] += _mcg(o).finite
+            families[b][small.family] += 1
+        counts[b]["finite_mcg"] += mcg.finite
     rows = []
     count, family = Counter(), Counter()
     for b in range(budget + 1):

@@ -142,12 +142,30 @@ def _parse_bool(value: str, line: int) -> bool:
     raise _err(f"expected true or false, got {value!r}", line)
 
 
+def _clipped(value: str) -> str:
+    return repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} chars)"
+
+
+def _not_an_int(value: str, want: str) -> str:
+    """Why int() refused value, echoing it clipped: a decimal integer past
+    the interpreter's digit limit is named as such, anything else is not
+    what was wanted."""
+    shown = _clipped(value)
+    m = re.fullmatch(r"\s*[+-]?(\d+)\s*", value)
+    limit = sys.get_int_max_str_digits()
+    if m and limit and len(m.group(1)) > limit:
+        return (
+            f"{shown} has {len(m.group(1))} digits, over the interpreter's"
+            f" limit of {limit} digits for an integer"
+        )
+    return f"expected {want}, got {shown}"
+
+
 def _parse_int(value: str, line: int) -> int:
     try:
         return int(value)
     except ValueError:
-        shown = repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} chars)"
-        raise _err(f"expected an integer, got {shown}", line) from None
+        raise _err(_not_an_int(value, "an integer"), line) from None
 
 
 def _parse_circle(value: str, line: int) -> orbifold.BoundaryCircle:
@@ -602,39 +620,95 @@ def _cmd_orbifold_analyze(args, out: TextIO) -> int:
     return 0
 
 
+def _census_json_list(items) -> str:
+    """A list of JSON values, laid out as it sits under a key of a census
+    row in indent-2 JSON."""
+    items = list(items)
+    if not items:
+        return "[]"
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+
+def _census_json_verdict(
+    small: orbifold.SmallVerdict, mcg: orbifold.McgVerdict
+) -> tuple[str, str, str]:
+    """A hyperbolic row's JSON lines before its genus, before its
+    orientable and after it."""
+    mcg_family = "null" if mcg.family is None else json.dumps(mcg.family)
+    small_family = "null" if small.family is None else small.family
+    return (
+        f'      "finite_mcg": {"true" if mcg.finite else "false"},\n',
+        f'      "hyperbolic": true,\n      "mcg_family": {mcg_family},\n',
+        f',\n      "small": {"true" if small.small else "false"},'
+        f'\n      "small_family": {small_family}',
+    )
+
+
+_CENSUS_JSON_NOT_HYPERBOLIC = ("", '      "hyperbolic": false,\n', "")
+
+
+def _census_json_row(orientable, genus, cone, circles, chi, verdict) -> str:
+    """One row of the orbifolds list, as json.dumps(row, sort_keys=True,
+    indent=2) writes it there."""
+    before_genus, before_orientable, after = verdict or _CENSUS_JSON_NOT_HYPERBOLIC
+    return (
+        f'    {{\n      "chi": "{chi}",\n      "circles": {circles},\n'
+        f'      "cone": {cone},\n{before_genus}      "genus": {genus},\n'
+        f'{before_orientable}      "orientable": {"true" if orientable else "false"}'
+        f"{after}\n    }}"
+    )
+
+
+def _census_text_verdict(small: orbifold.SmallVerdict, mcg: orbifold.McgVerdict) -> str:
+    return f" small={str(small.small).lower()} finite_mcg={str(mcg.finite).lower()}"
+
+
+def _census_text_row(orientable, genus, cone, circles, chi, verdict) -> str:
+    desc = "orientable" if orientable else "non-orientable"
+    return f"{desc} genus={genus}{cone}{circles} | chi={chi}{verdict or ''}\n"
+
+
+def _census_json_ends(args, count: int) -> tuple[str, str]:
+    """The census document around its rows: the envelope keys, budget and
+    count, laid out by json.dumps(..., sort_keys=True, indent=2)."""
+    envelope = {
+        **_envelope("orbifold.enumerate", f"budget={args.budget}", args.seed),
+        "budget": args.budget,
+        "count": count,
+        "orbifolds": [],
+    }
+    text = json.dumps(envelope, sort_keys=True, indent=2)
+    head, key, tail = text.partition('"orbifolds": []')
+    if not count:
+        return head + key, tail + "\n"
+    return head + '"orbifolds": [\n', "\n  ]" + tail + "\n"
+
+
 def _cmd_orbifold_enumerate(args, out: TextIO) -> int:
-    rows = []
-    for o in orbifold.enumerate_orbifolds(args.budget):
-        row = {
-            "orientable": o.orientable,
-            "genus": o.genus,
-            "cone": list(o.cone_points),
-            "circles": [_circle_text(c) for c in o.circles],
-        }
-        row.update(_verdict_fields(o)[0])
-        rows.append(row)
+    """Write each census row as it is made. The text of each cone and
+    circle multiset is built once, and that of a verdict once per key that
+    the census memoizes it on."""
     if args.json:
-        obj = {
-            **_envelope("orbifold.enumerate", f"budget={args.budget}", args.seed),
-            "budget": args.budget,
-            "count": len(rows),
-            "orbifolds": rows,
-        }
-        out.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        census = orbifold._census(args.budget, _census_json_verdict)
+        head, tail = _census_json_ends(args, census.count)
+        cones = [_census_json_list(map(str, c)) for c in census.cones]
+        circles = [
+            _census_json_list(json.dumps(_circle_text(c)) for c in q) for q in census.circles
+        ]
+        row, sep = _census_json_row, ",\n"
     else:
-        out.write(f"count = {len(rows)}\n")
-        for row in rows:
-            desc = "orientable" if row["orientable"] else "non-orientable"
-            parts = [f"{desc} genus={row['genus']}"]
-            if row["cone"]:
-                parts.append("cone=" + ",".join(map(str, row["cone"])))
-            for c in row["circles"]:
-                parts.append(f"circle[{c}]")
-            flags = f"chi={row['chi']}"
-            if row["hyperbolic"]:
-                flags += f" small={str(row['small']).lower()}"
-                flags += f" finite_mcg={str(row['finite_mcg']).lower()}"
-            out.write(" ".join(parts) + " | " + flags + "\n")
+        census = orbifold._census(args.budget, _census_text_verdict)
+        head, tail = f"count = {census.count}\n", ""
+        cones = [" cone=" + ",".join(map(str, c)) if c else "" for c in census.cones]
+        circles = ["".join(f" circle[{_circle_text(c)}]" for c in q) for q in census.circles]
+        row, sep = _census_text_row, ""
+    out.write(head)
+    lead = ""
+    for orientable, genus, i, j, n, d, verdict in census.rows:
+        chi = str(n) if d == 1 else f"{n}/{d}"
+        out.write(lead + row(orientable, genus, cones[i], circles[j], chi, verdict))
+        lead = sep
+    out.write(tail)
     return 0
 
 
@@ -780,18 +854,17 @@ def _cmd_export_dot(args, out: TextIO) -> int:
     raise SemanticError(f"no graph to export in a {doc.kind!r} document")
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer flag with a lower bound."""
+def _int_flag(low: Optional[int] = None):
+    """argparse type for an integer flag, with an optional lower bound."""
+    want = "an integer" if low is None else f"an integer >= {low}"
 
     def parse(text: str) -> int:
         try:
             n = int(text)
         except ValueError:
-            n = low - 1
-        if n < low:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {low}, got {text!r}"
-            )
+            raise argparse.ArgumentTypeError(_not_an_int(text, want)) from None
+        if low is not None and n < low:
+            raise argparse.ArgumentTypeError(f"expected {want}, got {_clipped(text)}")
         return n
 
     return parse
@@ -803,7 +876,7 @@ def _build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=_int_flag(), default=None)
 
     orb = sub.add_parser("orbifold").add_subparsers(dest="sub", required=True)
     a = orb.add_parser("analyze")
@@ -811,7 +884,7 @@ def _build_parser() -> _Parser:
     common(a)
     a.set_defaults(func=_cmd_orbifold_analyze)
     e = orb.add_parser("enumerate")
-    e.add_argument("--budget", type=_int_at_least(0), required=True)
+    e.add_argument("--budget", type=_int_flag(0), required=True)
     common(e)
     e.set_defaults(func=_cmd_orbifold_enumerate)
 
@@ -819,7 +892,7 @@ def _build_parser() -> _Parser:
     ln = gb.add_parser("length")
     ln.add_argument("file")
     ln.add_argument("--word", required=True)
-    ln.add_argument("--oracle", type=_int_at_least(0), default=None, metavar="R")
+    ln.add_argument("--oracle", type=_int_flag(0), default=None, metavar="R")
     common(ln)
     ln.set_defaults(func=_cmd_gbs_length)
     rp = gb.add_parser("report")
@@ -830,8 +903,8 @@ def _build_parser() -> _Parser:
     lat = sub.add_parser("lattice").add_subparsers(dest="sub", required=True)
     lv = lat.add_parser("verify")
     lv.add_argument("file")
-    lv.add_argument("--words", type=_int_at_least(0), default=100)
-    lv.add_argument("--maxlen", type=_int_at_least(1), default=8, metavar="L")
+    lv.add_argument("--words", type=_int_flag(0), default=100)
+    lv.add_argument("--maxlen", type=_int_flag(1), default=8, metavar="L")
     common(lv)
     lv.set_defaults(func=_cmd_lattice_verify)
 

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import (
     ConeOrderTooSmall,
@@ -373,9 +373,10 @@ def feature_count(o: Orbifold2) -> int:
     )
 
 
-# The census grows 10-13x per budget step: budget 8 is 755,625 rows, and
-# `orbifold enumerate --budget 8 --json` takes 46-48 s and 1.9-2.0 GiB peak
-# memory (py3.11 on a 2-core Xeon); budget 9 is 10,006,598 rows.
+# The census grows 10-13x per budget step. `orbifold enumerate --budget N
+# --json` to a pipe takes about 0.37 s at N = 6, 1.2 s at N = 7 and, for the
+# 755,625 rows of N = 8, 9-10.5 s with 165 MiB peak memory (py3.11 on a
+# 2-core Xeon); budget 9 is 10,006,598 rows.
 CENSUS_MAX_BUDGET = 8
 
 
@@ -430,17 +431,115 @@ def _circle_shapes(max_cost: int, budget: int) -> list[BoundaryCircle]:
     return shapes
 
 
-def _circle_multisets(shapes, costs, by_cost, max_cost, start=0):
-    """Multisets of shapes[start:] of total cost <= max_cost, as tuples in
-    shape order, yielded in lexicographic order. by_cost[r] lists in
-    increasing order the indices of the shapes of cost <= r, so the walk
-    never visits a shape that does not fit."""
+def _circle_multisets(costs, by_cost, max_cost, start=0):
+    """Multisets of shape indices >= start of total cost <= max_cost, as
+    increasing index tuples, yielded in lexicographic order. by_cost[r]
+    lists in increasing order the indices of the shapes of cost <= r, so
+    the walk never visits a shape that does not fit."""
     yield ()
     fits = by_cost[max_cost]
     for k in range(bisect_left(fits, start), len(fits)):
         i = fits[k]
-        for rest in _circle_multisets(shapes, costs, by_cost, max_cost - costs[i], i):
-            yield (shapes[i],) + rest
+        for rest in _circle_multisets(costs, by_cost, max_cost - costs[i], i):
+            yield (i,) + rest
+
+
+def _chi_part(quarters: int, dens) -> tuple[int, int]:
+    """quarters / 4 + sum(1 / x for x in dens) as a reduced pair (n, d)
+    with d > 0."""
+    d = math.lcm(4, *dens)
+    n = quarters * (d // 4) + sum(d // x for x in dens)
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+class _Census(NamedTuple):
+    """The census at one budget. Each row is (orientable, genus, i, j, n, d,
+    verdict): the orbifold has cone multiset cones[i] and circle multiset
+    circles[j], chi = n / d in lowest terms with d > 0, and verdict is None
+    unless n < 0 and the census was asked to classify."""
+
+    count: int
+    cones: list[tuple[int, ...]]
+    circles: list[tuple[BoundaryCircle, ...]]
+    rows: Iterator[tuple]
+
+
+def _census(
+    budget: int,
+    classify: Optional[Callable[[SmallVerdict, McgVerdict], object]] = None,
+) -> _Census:
+    """The census rows of enumerate_orbifolds, in its order, made one at a
+    time. With classify given, a hyperbolic row's verdict is
+    classify(_small(o), _mcg(o)); both depend only on (orientable and genus
+    0, non-orientable and genus 1, number of cones, circle multiset), so it
+    is computed once per such key. chi is the surface term plus a cone part
+    and a circle part, each computed once per multiset, so a row costs one
+    lcm and one gcd.
+
+    Budgets above CENSUS_MAX_BUDGET raise SemanticError before any work."""
+    if budget > CENSUS_MAX_BUDGET:
+        raise SemanticError(
+            f"census budget {budget} is over the cap CENSUS_MAX_BUDGET ="
+            f" {CENSUS_MAX_BUDGET}; the census grows 10-13x per budget step"
+        )
+    shapes = _circle_shapes(budget, budget)
+    costs = [1 + len(c.word) for c in shapes]
+    by_cost = [[i for i, c in enumerate(costs) if c <= r] for r in range(budget + 1)]
+    # each shape's share of chi: -1 per circle, -(1 - 1/r)/2 per corner
+    # reflector and -1/4 per junction, in quarters plus 1/(2r) per corner
+    quarters = [-4 - 2 * len(c.corner_orders()) - c.junctions() for c in shapes]
+    dens = [[2 * r for r in c.corner_orders()] for c in shapes]
+    circle_sets: list[tuple[BoundaryCircle, ...]] = []
+    # the circle multisets of each total cost, as (index, chi part)
+    circles_of_cost: list[list[tuple[int, int, int]]] = [[] for _ in range(budget + 1)]
+    for j, picks in enumerate(_circle_multisets(costs, by_cost, budget)):
+        circle_sets.append(tuple(map(shapes.__getitem__, picks)))
+        part = _chi_part(
+            sum(map(quarters.__getitem__, picks)), [x for i in picks for x in dens[i]]
+        )
+        circles_of_cost[sum(map(costs.__getitem__, picks))].append((j, *part))
+    cone_sets = sorted(
+        cones
+        for n in range(budget + 1)
+        for cones in itertools.combinations_with_replacement(range(2, budget + 1), n)
+    )
+    cone_parts = [_chi_part(-4 * len(cones), cones) for cones in cone_sets]
+
+    def blocks():
+        for features in range(1, budget + 1):
+            for orientable in (True, False):
+                for genus in range(0 if orientable else 1, features + 1):
+                    for i, cones in enumerate(cone_sets):
+                        rem = features - genus - len(cones)
+                        if rem >= 0:
+                            yield orientable, genus, i, circles_of_cost[rem]
+
+    def rows():
+        verdicts: dict[tuple, dict] = {}
+        for orientable, genus, i, circles in blocks():
+            cones = cone_sets[i]
+            cn, cd = cone_parts[i]
+            # the surface's 2 - 2 * genus or 2 - genus, plus the cones
+            bn = cn + (2 - 2 * genus if orientable else 2 - genus) * cd
+            memo = verdicts.setdefault(
+                (orientable and genus == 0, not orientable and genus == 1, len(cones)),
+                {},
+            )
+            for j, qn, qd in circles:
+                d = math.lcm(cd, qd)
+                n = bn * (d // cd) + qn * (d // qd)
+                g = math.gcd(n, d)
+                verdict = None
+                if n < 0 and classify is not None:
+                    verdict = memo.get(j)
+                    if verdict is None:
+                        o = Orbifold2(orientable, genus, cones, circle_sets[j])
+                        verdict = memo[j] = classify(_small(o), _mcg(o))
+                yield orientable, genus, i, j, n // g, d // g, verdict
+
+    count = sum(len(circles) for *_, circles in blocks())
+    return _Census(count, cone_sets, circle_sets, rows())
 
 
 def enumerate_orbifolds(budget: int) -> list[Orbifold2]:
@@ -454,31 +553,9 @@ def enumerate_orbifolds(budget: int) -> list[Orbifold2]:
     multisets are generated as sorted multisets. They are also built in
     sorted order, so nothing is sorted or deduplicated at the end. Budgets
     above CENSUS_MAX_BUDGET raise SemanticError before any work."""
-    if budget > CENSUS_MAX_BUDGET:
-        raise SemanticError(
-            f"census budget {budget} is over the cap CENSUS_MAX_BUDGET ="
-            f" {CENSUS_MAX_BUDGET}; the census grows 10-13x per budget step"
-        )
-    shapes = _circle_shapes(budget, budget)
-    costs = [1 + len(c.word) for c in shapes]
-    by_cost = [[i for i, c in enumerate(costs) if c <= r] for r in range(budget + 1)]
-    circle_sets: list[list[tuple[BoundaryCircle, ...]]] = [[] for _ in range(budget + 1)]
-    for circles in _circle_multisets(shapes, costs, by_cost, budget):
-        circle_sets[sum(1 + len(c.word) for c in circles)].append(circles)
-    cone_sets = sorted(
-        cones
-        for n in range(budget + 1)
-        for cones in itertools.combinations_with_replacement(range(2, budget + 1), n)
-    )
-    out = []
-    for features in range(1, budget + 1):
-        for orientable in (True, False):
-            for genus in range(0 if orientable else 1, features + 1):
-                for cones in cone_sets:
-                    rem = features - genus - len(cones)
-                    if rem >= 0:
-                        out.extend(
-                            Orbifold2(orientable, genus, cones, circles)
-                            for circles in circle_sets[rem]
-                        )
-    return out
+    census = _census(budget)
+    cones, circles = census.cones, census.circles
+    return [
+        Orbifold2(orientable, genus, cones[i], circles[j])
+        for orientable, genus, i, j, *_ in census.rows
+    ]

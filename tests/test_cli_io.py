@@ -427,6 +427,35 @@ class TestHostileInput:
         assert "error: argument" in err and "usage:" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("orbifold", "enumerate", "--budget"),
+            ("lattice", "verify", "m3.txt", "--words"),
+            ("lattice", "verify", "m3.txt", "--maxlen"),
+            ("gbs", "length", "bs23.txt", "--word", "t", "--oracle"),
+            ("orbifold", "enumerate", "--budget", "1", "--seed"),
+        ],
+        ids=["budget", "words", "maxlen", "oracle", "seed"],
+    )
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_flag_past_digit_limit_exits_1_briefly(self, argv, sign):
+        # past CPython's 4,300-digit limit on integer strings: a valid
+        # integer, refused by int(), echoed clipped with the limit named
+        argv = [str(INPUTS / a) if a.endswith(".txt") else a for a in argv]
+        code, out, err = run(*argv, sign + "7" * 5000)
+        assert code == 1 and out == ""
+        assert len(err) < 400 and "Traceback" not in err
+        assert f"argument {argv[-1]}:" in err and "usage:" in err
+        assert "5000 digits" in err and f"limit of {sys.get_int_max_str_digits()} digits" in err
+        assert "(5000 chars)" in err or "(5001 chars)" in err
+
+    def test_flag_below_bound_is_clipped(self):
+        code, out, err = run("orbifold", "enumerate", "--budget", "-" + "1" * 1000)
+        assert code == 1 and out == ""
+        assert len(err) < 400
+        assert "expected an integer >= 0, got '-1111" in err and "(1001 chars)" in err
+
+    @pytest.mark.parametrize(
         "tree, message",
         [("nope", "unknown edge 'nope'"), ("f, g", "has 2 edges")],
     )

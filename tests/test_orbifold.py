@@ -1,7 +1,12 @@
 import hashlib
 import io
 import itertools
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +24,9 @@ from splittings.errors import (
     SemanticError,
 )
 from splittings.orbifold import B, M, BoundaryCircle, Orbifold2
+from splittings.report import rational_str
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def orb(orientable=True, genus=0, cones=(), circles=()):
@@ -454,6 +462,74 @@ class TestCanonicalShapes:
             }
 
 
+def _whole_document_census(budget, seed, as_json):
+    """The census output as the CLI wrote it before it streamed: one dict
+    per row with chi from euler_characteristic and the public verdicts, and
+    one json.dumps of the whole document."""
+    rows = []
+    for o in sp.enumerate_orbifolds(budget):
+        chi = sp.euler_characteristic(o)
+        row = {
+            "orientable": o.orientable,
+            "genus": o.genus,
+            "cone": list(o.cone_points),
+            "circles": [cli_io._circle_text(c) for c in o.circles],
+            "chi": rational_str(chi),
+            "hyperbolic": chi < 0,
+        }
+        if chi < 0:
+            sv, mv = sp.is_small(o), sp.has_finite_mcg(o)
+            row["small"] = sv.small
+            row["small_family"] = sv.family
+            row["finite_mcg"] = mv.finite
+            row["mcg_family"] = mv.family
+        rows.append(row)
+    if as_json:
+        obj = {
+            "operation": "orbifold.enumerate",
+            "tool": {"name": "splittings", "version": sp.__version__},
+            "input_digest": hashlib.sha256(f"budget={budget}".encode()).hexdigest(),
+            "seed": seed,
+            "budget": budget,
+            "count": len(rows),
+            "orbifolds": rows,
+        }
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    lines = [f"count = {len(rows)}\n"]
+    for row in rows:
+        desc = "orientable" if row["orientable"] else "non-orientable"
+        parts = [f"{desc} genus={row['genus']}"]
+        if row["cone"]:
+            parts.append("cone=" + ",".join(map(str, row["cone"])))
+        for c in row["circles"]:
+            parts.append(f"circle[{c}]")
+        flags = f"chi={row['chi']}"
+        if row["hyperbolic"]:
+            flags += f" small={str(row['small']).lower()}"
+            flags += f" finite_mcg={str(row['finite_mcg']).lower()}"
+        lines.append(" ".join(parts) + " | " + flags + "\n")
+    return "".join(lines)
+
+
+class TestCensusRows:
+    @pytest.mark.parametrize("budget", range(6))
+    def test_rows_match_reference_invariants(self, budget):
+        # chi against the Fraction reference, verdicts against the public
+        # classifiers, each computed per row from the orbifold alone
+        census = orbifold._census(budget, lambda small, mcg: (small, mcg))
+        rows = list(census.rows)
+        assert census.count == len(rows) == len(sp.enumerate_orbifolds(budget))
+        for orientable, genus, i, j, n, d, verdict in rows:
+            o = Orbifold2(orientable, genus, census.cones[i], census.circles[j])
+            assert sp.validate(o) == o
+            chi = sp.euler_characteristic(o)
+            assert (n, d) == (chi.numerator, chi.denominator)
+            if chi < 0:
+                assert verdict == (sp.is_small(o), sp.has_finite_mcg(o))
+            else:
+                assert verdict is None
+
+
 def _run_census(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = cli_io.run(["orbifold", "enumerate", *argv], stdout=out, stderr=err)
@@ -470,11 +546,54 @@ class TestCensusOutput:
             (("--budget", "5", "--json"), "047d2b76e0b9098c1df48dd8d18ad74b1d227f258398e9baa23bd9de3b011618"),
             (("--budget", "6"), "74147e922acd3331524209cb9914cf5070b6e789753874e4e0748b522615b776"),
             (("--budget", "6", "--json"), "83c7a3d700a4019376cc95b0e7a1c88a53854e792f4066d7a8cb8ad8d39eadcd"),
+            (("--budget", "7"), "ebd63a57ab91866298fb722e441987b34e24243f620adbf10c79e8c58fb7be28"),
+            (("--budget", "7", "--json"), "4c207b7dd70995cb885f72ceccabe80ef8571b6a7546a2d20ee663352cce8d22"),
         ],
-        ids=["5-text", "5-json", "6-text", "6-json"],
+        ids=["5-text", "5-json", "6-text", "6-json", "7-text", "7-json"],
     )
     def test_output_digest_pinned(self, argv, digest):
         assert _run_census(*argv) == digest
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("seed", [None, "-3", "42"])
+    @pytest.mark.parametrize("budget", range(6))
+    def test_output_matches_whole_document_path(self, budget, seed, as_json):
+        argv = ["orbifold", "enumerate", "--budget", str(budget)]
+        argv += ["--seed", seed] * (seed is not None) + ["--json"] * as_json
+        out = io.StringIO()
+        assert cli_io.run(argv, stdout=out) == 0
+        expect = _whole_document_census(budget, None if seed is None else int(seed), as_json)
+        assert out.getvalue() == expect
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
+    )
+    def test_budget_7_json_memory(self):
+        # The child reads its own peak after the run. Not ru_maxrss: Linux
+        # carries it across exec from the forking process, here the test
+        # runner, and RUSAGE_CHILDREN also holds other tests' children.
+        # VmHWM is the peak of the child's own address space.
+        child = (
+            "import sys\n"
+            "from splittings import cli_io\n"
+            "code = cli_io.run(['orbifold', 'enumerate', '--budget', '7', '--json'])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    peak = next(l.split()[1] for l in fh if l.startswith('VmHWM:'))\n"
+            "sys.stderr.write(f'{code} {peak}')\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+        code, peak_kib = map(int, proc.stderr.split())
+        assert code == 0
+        assert peak_kib < 100 * 1024
 
     def test_over_cap_raises_before_work(self, monkeypatch):
         def no_work(*args):
