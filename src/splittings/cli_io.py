@@ -41,6 +41,7 @@ from .errors import (
     IdentityViolation,
     SemanticError,
     SplittingsError,
+    clipped,
 )
 from .report import TOOL_NAME, TOOL_VERSION, Report, digest, rational_str
 
@@ -51,6 +52,12 @@ Letters = tuple[tuple, ...]
 # the default flags E = 8 takes 0.4-0.5 s, E = 9 1.4-2.0 s and E = 10 about
 # 7 s (py3.11 on a 2-core Xeon); each edge costs ~3.5-4x.
 LATTICE_MAX_EDGES = 9
+# The sampled words are built and normalized before any comparison, so
+# --words and --maxlen bound the work and memory with E. At both caps a
+# keep-less E = 9 loop master takes 15 s and a 32-vertex chain master with
+# 3 keeps 7 s and 56 MiB (same host); m3.txt takes 0.6 s.
+LATTICE_MAX_WORDS = 1_000
+LATTICE_MAX_WORD_LENGTH = 200
 
 
 @dataclass(frozen=True)
@@ -142,15 +149,11 @@ def _parse_bool(value: str, line: int) -> bool:
     raise _err(f"expected true or false, got {value!r}", line)
 
 
-def _clipped(value: str) -> str:
-    return repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} chars)"
-
-
 def _not_an_int(value: str, want: str) -> str:
     """Why int() refused value, echoing it clipped: a decimal integer past
     the interpreter's digit limit is named as such, anything else is not
     what was wanted."""
-    shown = _clipped(value)
+    shown = clipped(value)
     m = re.fullmatch(r"\s*[+-]?(\d+)\s*", value)
     limit = sys.get_int_max_str_digits()
     if m and limit and len(m.group(1)) > limit:
@@ -854,8 +857,9 @@ def _cmd_export_dot(args, out: TextIO) -> int:
     raise SemanticError(f"no graph to export in a {doc.kind!r} document")
 
 
-def _int_flag(low: Optional[int] = None):
-    """argparse type for an integer flag, with an optional lower bound."""
+def _int_flag(low: Optional[int] = None, cap: Optional[tuple[str, int]] = None):
+    """argparse type for an integer flag, with an optional lower bound and
+    an optional named cap (name, largest accepted value)."""
     want = "an integer" if low is None else f"an integer >= {low}"
 
     def parse(text: str) -> int:
@@ -864,7 +868,11 @@ def _int_flag(low: Optional[int] = None):
         except ValueError:
             raise argparse.ArgumentTypeError(_not_an_int(text, want)) from None
         if low is not None and n < low:
-            raise argparse.ArgumentTypeError(f"expected {want}, got {_clipped(text)}")
+            raise argparse.ArgumentTypeError(f"expected {want}, got {clipped(text)}")
+        if cap is not None and n > cap[1]:
+            raise argparse.ArgumentTypeError(
+                f"{clipped(text)} is over the cap {cap[0]} = {cap[1]}"
+            )
         return n
 
     return parse
@@ -903,8 +911,13 @@ def _build_parser() -> _Parser:
     lat = sub.add_parser("lattice").add_subparsers(dest="sub", required=True)
     lv = lat.add_parser("verify")
     lv.add_argument("file")
-    lv.add_argument("--words", type=_int_flag(0), default=100)
-    lv.add_argument("--maxlen", type=_int_flag(1), default=8, metavar="L")
+    lv.add_argument(
+        "--words", type=_int_flag(0, ("LATTICE_MAX_WORDS", LATTICE_MAX_WORDS)), default=100
+    )
+    lv.add_argument(
+        "--maxlen", type=_int_flag(1, ("LATTICE_MAX_WORD_LENGTH", LATTICE_MAX_WORD_LENGTH)),
+        default=8, metavar="L",
+    )
     common(lv)
     lv.set_defaults(func=_cmd_lattice_verify)
 

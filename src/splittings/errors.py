@@ -12,6 +12,12 @@ class SplittingsError(Exception):
     """Root of the package's error hierarchy."""
 
 
+def clipped(text: str, show=repr) -> str:
+    """show(text) for an error message, cut to show of its first 20
+    characters and its length when it is longer than 40."""
+    return show(text) if len(text) <= 40 else f"{show(text[:20])}... ({len(text)} chars)"
+
+
 # -- orbifold ---------------------------------------------------------------
 
 class ConeOrderTooSmall(SplittingsError):

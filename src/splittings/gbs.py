@@ -210,10 +210,6 @@ class GroupWord:
     items: tuple[Item, ...] = ()
 
 
-def _rev(c: Cross) -> Cross:
-    return Cross(c.edge, -c.sign)
-
-
 # The crossing helpers take an indexed graph and a crossing of one of its
 # edges, so they read the index without validating again.
 
@@ -252,7 +248,7 @@ def inverse(w: GroupWord) -> GroupWord:
         if isinstance(item, Pow):
             items.append(Pow(item.vertex, -item.n))
         else:
-            items.append(_rev(item))
+            items.append(Cross(item.edge, -item.sign))
     return GroupWord(w.base, tuple(items))
 
 
@@ -357,20 +353,21 @@ class NormalForm:
 def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross], int, str]]:
     """Stack pass yielding [(crossing or None, following power, vertex)].
     Once a crossing is buried under a later one its preceding power is
-    frozen and pinch-free, so the output is Britton-reduced. The top entry's
+    frozen and pinch-free, so the output is Britton-reduced. The top entry
+    (c, p, v) lives in locals and only buried entries are on the stack. Its
     vertex is where the path stands, so the pass also checks the path as it
     walks: the base is a vertex, each item departs from the current vertex,
     and the path closes up at the base."""
     edges = g.index.edges
     if w.base not in g.index.depth:
         raise InvalidPath(f"base {w.base!r} is not a vertex")
-    out: list[tuple[Optional[Cross], int, str]] = [(None, 0, w.base)]
+    out: list[tuple[Optional[Cross], int, str]] = []
+    c, p, v = None, 0, w.base
     for item in w.items:
-        c, p, v = out[-1]
-        if isinstance(item, Pow):
+        if type(item) is Pow:
             if item.vertex != v:
                 raise InvalidPath(f"power at {item.vertex!r} but path is at {v!r}")
-            out[-1] = (c, p + item.n, v)
+            p += item.n
             continue
         e = edges.get(item.edge)
         if e is None:
@@ -384,13 +381,15 @@ def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross],
                 f"crossing of {item.edge!r} departs {dep!r} but path is at {v!r}"
             )
         if c is not None and c.edge == item.edge and c.sign == -item.sign and p % d == 0:
-            out.pop()
-            c2, p2, v2 = out[-1]
-            out[-1] = (c2, p2 + p // d * a, v2)
+            carry = p // d * a
+            c, p, v = out.pop()
+            p += carry
         else:
-            out.append((item, 0, arr))
-    if out[-1][2] != w.base:
-        raise InvalidPath(f"path ends at {out[-1][2]!r}, not at base {w.base!r}")
+            out.append((c, p, v))
+            c, p, v = item, 0, arr
+    if v != w.base:
+        raise InvalidPath(f"path ends at {v!r}, not at base {w.base!r}")
+    out.append((c, p, v))
     return out
 
 
@@ -862,15 +861,6 @@ def _normalize_steps(
     return steps, pending, reach
 
 
-def _tree_distance(x: Sequence[Step], y: Sequence[Step]) -> int:
-    common = 0
-    for a, b in zip(x, y):
-        if a != b:
-            break
-        common += 1
-    return len(x) + len(y) - 2 * common
-
-
 State = tuple[list[Step], int]
 
 # the ball oracle walks at most this many vertices of the coset ball
@@ -879,37 +869,63 @@ ORACLE_MAX_VERTICES = 512
 
 def _ball_walk(
     g: LabeledGraph, base: str, radius: int, max_vertices: int, roots: Sequence[State]
-) -> Iterator[tuple[tuple[Step, ...], Sequence[State]]]:
+) -> Iterator[tuple[tuple[Step, ...], list[tuple[list[Step], int, int]]]]:
     """Breadth-first walk of the radius-R ball around the base coset,
     truncated at max_vertices. Each vertex x comes with one state per root
-    state s: the state of _normalize_steps for the path of s followed by the
-    coset path of x. A child resumes from its parent's states over its own
-    items only, Pow(tip, r) when r != 0 and then its crossing, so a vertex
-    costs one normalization step per root plus the copy of each state."""
-    moves: dict[str, list[tuple[Cross, Cross, str, int]]] = {}
-    yield (), roots
+    state s: the state (steps, pending) of _normalize_steps for the path of s
+    followed by the coset path of x, and the length of the common prefix of
+    steps and x, so d(x, s x) = |x| + |steps| - 2 common. A child
+    x + ((c, r),) resumes each of its parent's states over Pow(tip, r) and c:
+    pending += r, then one push or one pop, and at most one step comparison
+    updates the common prefix. Every crossing is the index's own object (the
+    roots' steps are mapped onto them), so crossings compare by identity."""
+    departing = g.index.departing
+    own = {(c.edge, c.sign): c for cs in departing.values() for c in cs}
+    states = [
+        ([(own[c.edge, c.sign], r) for c, r in steps], pending, 0)
+        for steps, pending in roots
+    ]
+    yield (), states
+    # per tip: (crossing, its reverse, arrival, departure label, arrival
+    # label, |departure label|) of each move
+    moves: dict[str, list[tuple[Cross, Cross, str, int, int, int]]] = {}
     count = 1
     # (vertex, tip vertex, crossing back to the parent, states)
-    frontier: list[tuple[tuple[Step, ...], str, Optional[Cross], Sequence[State]]] = [
-        ((), base, None, roots)
-    ]
-    for _ in range(radius):
+    frontier = [((), base, None, states)]
+    for k in range(radius):  # k = |parent|
         nxt = []
         for p, tip, back, states in frontier:
-            if tip not in moves:
-                moves[tip] = [
-                    (c, _rev(c), _arr_vertex(g, c), abs(_dep_label(g, c)))
-                    for c in g.index.departing[tip]
-                ]
-            for c, rev, arrival, d in moves[tip]:
+            table = moves.get(tip)
+            if table is None:
+                table = moves[tip] = []
+                for c in departing[tip]:
+                    rev, d = own[c.edge, -c.sign], _dep_label(g, c)
+                    table.append((c, rev, _arr_vertex(g, c), d, _dep_label(g, rev), abs(d)))
+            for c, rev, arrival, d, a, ad in table:
                 # (back, 0) is the parent vertex
-                for r in range(1 if c == back else 0, d):
-                    items = (Pow(tip, r), c) if r else (c,)
+                for r in range(1 if c is back else 0, ad):
+                    child_states = []
+                    for steps, pending, common in states:
+                        m = len(steps)
+                        pending += r
+                        rr = pending % ad
+                        q = (pending - rr) // d
+                        if rr == 0 and m and steps[-1][0] is rev:
+                            pending = steps[-1][1] + q * a
+                            steps = steps[:-1]
+                            if common >= m - 1:
+                                common = m - 1
+                            elif common == k:
+                                common += steps[k] == (c, r)
+                        else:
+                            if common == k:
+                                common += r == rr if m == k else steps[k] == (c, r)
+                            elif common == m:
+                                common += p[m] == (c, rr)
+                            steps = steps + [(c, rr)]
+                            pending = q * a
+                        child_states.append((steps, pending, common))
                     child = p + ((c, r),)
-                    child_states = [
-                        _normalize_steps(g, items, steps, pending)[:2]
-                        for steps, pending in states
-                    ]
                     yield child, child_states
                     count += 1
                     if count >= max_vertices:
@@ -934,8 +950,9 @@ def ball_displacement_oracle(g: LabeledGraph, w: GroupWord, radius: int) -> Orac
     """Independent translation-length computation from tree geometry:
     max(d(x, w^2 x) - d(x, w x), 0) equals the translation length at every
     vertex x. w and w^2 are normalized once; the breadth-first walk of the
-    (truncated) ball carries the states of w x and w^2 x, each resumed from
-    its parent's by one step, and stops at ORACLE_MAX_VERTICES vertices. The
+    (truncated) ball carries the states of w x and w^2 x with their common
+    prefixes with x, each resumed from its parent's by one push or pop, and
+    stops at ORACLE_MAX_VERTICES vertices. The
     value is read at the base, and a vertex that disagrees raises
     IdentityViolation as soon as it is made. The validity flag is set when
     the radius exceeds the word's reach plus the computed value."""
@@ -946,9 +963,11 @@ def ball_displacement_oracle(g: LabeledGraph, w: GroupWord, radius: int) -> Orac
     roots = ((w_steps, w_pending), (ww_steps, ww_pending))
     value: Optional[int] = None
     used = 0
-    for x, ((wx, _), (wwx, _)) in _ball_walk(g, w.base, radius, ORACLE_MAX_VERTICES, roots):
+    walk = _ball_walk(g, w.base, radius, ORACLE_MAX_VERTICES, roots)
+    for x, ((wx, _, c1), (wwx, _, c2)) in walk:
         used += 1
-        f = max(_tree_distance(x, wwx) - _tree_distance(x, wx), 0)
+        # d(x, u x) = |x| + |ux| - 2 common, and |x| cancels
+        f = max(len(wwx) - 2 * c2 - len(wx) + 2 * c1, 0)
         if value is None:
             value = f
         elif f != value:

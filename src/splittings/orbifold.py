@@ -29,6 +29,7 @@ from .errors import (
     InvalidOrbifold,
     NotHyperbolic,
     SemanticError,
+    clipped,
 )
 
 M = "M"
@@ -480,7 +481,7 @@ def _census(
     Budgets above CENSUS_MAX_BUDGET raise SemanticError before any work."""
     if budget > CENSUS_MAX_BUDGET:
         raise SemanticError(
-            f"census budget {budget} is over the cap CENSUS_MAX_BUDGET ="
+            f"census budget {clipped(str(budget), str)} is over the cap CENSUS_MAX_BUDGET ="
             f" {CENSUS_MAX_BUDGET}; the census grows 10-13x per budget step"
         )
     shapes = _circle_shapes(budget, budget)

@@ -18,6 +18,18 @@ settings.load_profile("suite")
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
 
 
+def tree_distance(x, y):
+    # the distance of two vertices of the coset tree, read from their whole
+    # coset paths: the reference for the common prefixes the ball walk
+    # carries from vertex to vertex
+    common = 0
+    for a, b in zip(x, y):
+        if a != b:
+            break
+        common += 1
+    return len(x) + len(y) - 2 * common
+
+
 @pytest.fixture
 def bs12():
     return sp.validate_graph(sp.bs(1, 2))

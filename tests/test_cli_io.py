@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -454,6 +455,35 @@ class TestHostileInput:
         assert code == 1 and out == ""
         assert len(err) < 400
         assert "expected an integer >= 0, got '-1111" in err and "(1001 chars)" in err
+
+    @pytest.mark.parametrize(
+        "flag, cap",
+        [("--words", "LATTICE_MAX_WORDS"), ("--maxlen", "LATTICE_MAX_WORD_LENGTH")],
+    )
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("100000000", "'100000000'"), ("9" * 100, "'99999999999999999999'... (100 chars)")],
+        ids=["large", "long"],
+    )
+    def test_lattice_flag_over_cap_exits_1_at_once(self, flag, cap, value, shown):
+        start = time.perf_counter()
+        code, out, err = run("lattice", "verify", str(INPUTS / "m3.txt"), flag, value)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert f"argument {flag}: {shown} is over the cap {cap} = {getattr(cli_io, cap)}" in err
+
+    def test_lattice_flags_at_cap_accepted(self):
+        m3 = str(INPUTS / "m3.txt")
+        for argv in (("--words", str(cli_io.LATTICE_MAX_WORDS), "--maxlen", "1"),
+                     ("--words", "1", "--maxlen", str(cli_io.LATTICE_MAX_WORD_LENGTH))):
+            code, out, err = run("lattice", "verify", m3, *argv)
+            assert code == 0 and err == ""
+
+    def test_census_cap_message_is_clipped(self):
+        code, out, err = run("orbifold", "enumerate", "--budget", "1" * 4300)
+        assert code == 1 and out == ""
+        assert len(err.encode()) < 300
+        assert "budget 11111111111111111111... (4300 chars) is over the cap" in err
 
     @pytest.mark.parametrize(
         "tree, message",

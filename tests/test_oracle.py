@@ -9,9 +9,9 @@ import pytest
 import splittings as sp
 from splittings import cli_io, gbs
 from splittings.errors import IdentityViolation
-from splittings.gbs import _ball_walk, _tree_distance, _normalize_steps
+from splittings.gbs import _ball_walk, _normalize_steps
 
-from conftest import INPUTS
+from conftest import INPUTS, tree_distance
 
 
 def W(g, *letters):
@@ -37,7 +37,7 @@ class TestCosetModel:
         ball = ball_vertices(bs12, "v", 2, 64)
         far = [x for x in ball if len(x) == 2]
         assert far
-        assert _tree_distance((), far[0]) == 2
+        assert tree_distance((), far[0]) == 2
 
     def test_normalize_inverse_cancels(self, bs23):
         w = W(bs23, ("t", "e", 1), ("t", "e", -1))
@@ -87,13 +87,20 @@ class TestBallCheck:
 
     @pytest.fixture
     def one_wrong_vertex(self, bs23, monkeypatch):
+        # the walk carries each state's common prefix with the vertex, from
+        # which the oracle reads d(x, w^2 x); one short prefix at one vertex
+        # makes that distance 2 too long there
         target = ball_vertices(bs23, "v", 1, 64)[1]
-        real = gbs._tree_distance
+        real = gbs._ball_walk
 
-        def mutant(x, y):
-            return real(x, y) * (2 if x == target else 1)
+        def mutant(*args):
+            for x, states in real(*args):
+                if x == target:
+                    steps, pending, common = states[1]
+                    states = [states[0], (steps, pending, common - 1)]
+                yield x, states
 
-        monkeypatch.setattr(gbs, "_tree_distance", mutant)
+        monkeypatch.setattr(gbs, "_ball_walk", mutant)
 
     def test_oracle_raises(self, bs23, one_wrong_vertex):
         w = W(bs23, ("a", "v", 1), ("t", "e", 1), ("a", "v", 1), ("t", "e", 1))

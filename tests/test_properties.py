@@ -9,7 +9,7 @@ from splittings import gbs, tree_arithmetic as ta
 from splittings.gbs import Cross, Edge, Pow
 from splittings.orbifold import B, M, BoundaryCircle, Orbifold2
 
-from conftest import make_m3
+from conftest import make_m3, tree_distance
 
 M3 = make_m3()
 BS23 = sp.validate_graph(sp.bs(2, 3))
@@ -243,6 +243,57 @@ def test_word_errors_match_reference_validator(g, data):
                 assert expected is None
 
 
+def reference_linear_reduce(g, w):
+    # the linear pass as a plain stack, its top entry read from and written
+    # back to the list at every item
+    edges = {e.id: e for e in g.edges}
+    if w.base not in g.vertices:
+        raise sp.InvalidPath(f"base {w.base!r} is not a vertex")
+    out = [(None, 0, w.base)]
+    for item in w.items:
+        c, p, v = out[-1]
+        if isinstance(item, Pow):
+            if item.vertex != v:
+                raise sp.InvalidPath(f"power at {item.vertex!r} but path is at {v!r}")
+            out[-1] = (c, p + item.n, v)
+            continue
+        e = edges.get(item.edge)
+        if e is None:
+            raise sp.SemanticError(f"no edge named {item.edge!r}")
+        if item.sign > 0:
+            dep, arr, d, a = e.origin, e.terminus, e.lam, e.mu
+        else:
+            dep, arr, d, a = e.terminus, e.origin, e.mu, e.lam
+        if dep != v:
+            raise sp.InvalidPath(
+                f"crossing of {item.edge!r} departs {dep!r} but path is at {v!r}"
+            )
+        if c is not None and c.edge == item.edge and c.sign == -item.sign and p % d == 0:
+            out.pop()
+            c2, p2, v2 = out[-1]
+            out[-1] = (c2, p2 + p // d * a, v2)
+        else:
+            out.append((item, 0, arr))
+    if out[-1][2] != w.base:
+        raise sp.InvalidPath(f"path ends at {out[-1][2]!r}, not at base {w.base!r}")
+    return out
+
+
+@given(graph_with_words(2), st.integers(1, 4), st.integers(-2, 2), st.data())
+def test_linear_pass_matches_stack_reference(gw, n, j, data):
+    # pinch-heavy words too: w w^-1 cancels completely, and t^n a^k t^-n
+    # with k = j mu^n pinches n times over a loop
+    g, (w, c) = gw
+    words = [w, sp.concat(w, sp.inverse(w)), sp.concat(sp.concat(c, w), sp.inverse(c))]
+    if g.edges:
+        e = data.draw(st.sampled_from(g.edges))
+        t = (("t", e.id, 1),) * n
+        a = (("a", e.terminus, j * e.mu ** n),)
+        words.append(sp.make_word(g, t + a + (("t", e.id, -1),) * n))
+    for u in words:
+        assert gbs._linear_reduce(g, u) == reference_linear_reduce(g, u)
+
+
 @given(graph_with_words(2))
 def test_conjugacy_invariance_on_random_graphs(gw):
     # the modular map lands in the abelian group Q*, so it is a class
@@ -443,10 +494,27 @@ def test_ball_states_match_full_paths(gw):
                 items.append(Pow(e.origin if c.sign > 0 else e.terminus, r))
             items.append(c)
         assert gbs._normalize_steps(g, items)[:2] == (list(x), 0)
-        assert list(states) == [
+        assert [(steps, pending) for steps, pending, _ in states] == [
             gbs._normalize_steps(g, items, steps, pending)[:2]
             for steps, pending in roots
         ]
+
+
+@given(graph_with_words(1))
+def test_ball_walk_carries_distances(gw):
+    # each state carries its common prefix with the vertex, updated from
+    # the parent's; here d(x, u x) for u = w, w^2, w^-1, w^-2 is recomputed
+    # from the whole coset paths of the vertex and of the state (the
+    # inverses walk the other way along an axis, where a state's path can
+    # be a proper prefix of the vertex's)
+    g, (w,) = gw
+    roots = [
+        tuple(gbs._normalize_steps(g, u.items * n)[:2])
+        for u in (w, sp.inverse(w)) for n in (1, 2)
+    ]
+    for x, states in gbs._ball_walk(g, w.base, 4, 300, roots):
+        for steps, _, common in states:
+            assert len(x) + len(steps) - 2 * common == tree_distance(x, steps)
 
 
 # -- modular homomorphism ----------------------------------------------------
