@@ -43,7 +43,7 @@ from .errors import (
     SplittingsError,
     clipped,
 )
-from .report import TOOL_NAME, TOOL_VERSION, Report, digest, rational_str
+from .report import TOOL_NAME, Report, digest, envelope, rational_str
 
 Letters = tuple[tuple, ...]
 
@@ -535,23 +535,6 @@ def _want(doc: Document, kinds: tuple[str, ...]) -> None:
         )
 
 
-def _provenance(rep: Report, text: str, seed: Optional[int]) -> None:
-    rep.provenance["input_digest"] = digest(text)
-    rep.provenance["tool_version"] = TOOL_VERSION
-    rep.seed = seed
-
-
-def _envelope(operation: str, text: str, seed: Optional[int]) -> dict:
-    """The provenance keys that open each hand-built JSON result; reports
-    carry theirs in Report.to_dict."""
-    return {
-        "operation": operation,
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
-        "input_digest": digest(text),
-        "seed": seed,
-    }
-
-
 def _named_word(spec, wtext: str, g: gbs.LabeledGraph) -> gbs.GroupWord:
     for wname, letters in spec.words:
         if wname == wtext:
@@ -593,7 +576,7 @@ def _cmd_orbifold_analyze(args, out: TextIO) -> int:
     o: orbifold.Orbifold2 = doc.payload
     fields, note = _verdict_fields(o)
     result: dict = {
-        **_envelope("orbifold.analyze", text, args.seed),
+        **envelope("orbifold.analyze", digest(text)),
         "boundary_components": orbifold.boundary_components(o),
         "small": None,
         "small_family": None,
@@ -674,13 +657,13 @@ def _census_text_row(orientable, genus, cone, circles, chi, verdict) -> str:
 def _census_json_ends(args, count: int) -> tuple[str, str]:
     """The census document around its rows: the envelope keys, budget and
     count, laid out by json.dumps(..., sort_keys=True, indent=2)."""
-    envelope = {
-        **_envelope("orbifold.enumerate", f"budget={args.budget}", args.seed),
+    ends = {
+        **envelope("orbifold.enumerate", digest(f"budget={args.budget}")),
         "budget": args.budget,
         "count": count,
         "orbifolds": [],
     }
-    text = json.dumps(envelope, sort_keys=True, indent=2)
+    text = json.dumps(ends, sort_keys=True, indent=2)
     head, key, tail = text.partition('"orbifolds": []')
     if not count:
         return head + key, tail + "\n"
@@ -723,8 +706,7 @@ def _cmd_gbs_length(args, out: TextIO) -> int:
     w = _named_word(spec, args.word, g)
     seq = gbs.crossing_sequence(g, w)
     length = len(seq)
-    rep = Report(operation="gbs.length")
-    _provenance(rep, text, args.seed)
+    rep = Report(operation="gbs.length", input_digest=digest(text))
     rep.values["word"] = args.word
     rep.values["length"] = str(length)
     rep.values["crossing_sequence"] = ",".join(seq)
@@ -757,7 +739,7 @@ def _cmd_gbs_report(args, out: TextIO) -> int:
     _want(doc, ("gbs", "master"))
     g = doc.payload.graph
     rep = gbs.jsj_report(g)
-    _provenance(rep, text, args.seed)
+    rep.input_digest = digest(text)
     _print_report(rep, args.json, out)
     return 0
 
@@ -773,16 +755,14 @@ def _cmd_lattice_verify(args, out: TextIO) -> int:
             f" E = {len(m.orbits)} edges is over the cap LATTICE_MAX_EDGES ="
             f" {LATTICE_MAX_EDGES}; name the collapses to compare with keep lines"
         )
-    seed = args.seed if args.seed is not None else 0
-    words = gbs.sample_words(m.graph, args.words, args.maxlen, seed)
+    words = gbs.sample_words(m.graph, args.words, args.maxlen, args.seed)
     keeps = spec.keeps
     if not keeps:
         masks = range(1 << len(m.orbits))
         subsets = [[o for i, o in enumerate(m.orbits) if mask >> i & 1] for mask in masks]
         keeps = [("{" + ",".join(kept) + "}", kept) for kept in subsets]
     collapses = [tree_arithmetic.collapse(m, ids) for _, ids in keeps]
-    rep = Report(operation="lattice.verify")
-    _provenance(rep, text, seed)
+    rep = Report(operation="lattice.verify", input_digest=digest(text), seed=args.seed)
     rep.values["words"] = str(len(words))
     rep.values["maxlen"] = str(args.maxlen)
     rep.values["collapses"] = str(len(collapses))
@@ -819,7 +799,7 @@ def _cmd_cylinders_quotient(args, out: TextIO) -> int:
     collapsed = cyl.collapse_non_A(q) if args.collapse else None
     if args.json:
         obj = {
-            **_envelope("cylinders.quotient", text, args.seed),
+            **envelope("cylinders.quotient", digest(text)),
             "hypotheses": spec.hypotheses,
             "quotient": _quotient_json(q),
         }
@@ -882,18 +862,14 @@ def _build_parser() -> _Parser:
     p = _Parser(prog=TOOL_NAME, description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--seed", type=_int_flag(), default=None)
-
     orb = sub.add_parser("orbifold").add_subparsers(dest="sub", required=True)
     a = orb.add_parser("analyze")
     a.add_argument("file")
-    common(a)
+    a.add_argument("--json", action="store_true")
     a.set_defaults(func=_cmd_orbifold_analyze)
     e = orb.add_parser("enumerate")
     e.add_argument("--budget", type=_int_flag(0), required=True)
-    common(e)
+    e.add_argument("--json", action="store_true")
     e.set_defaults(func=_cmd_orbifold_enumerate)
 
     gb = sub.add_parser("gbs").add_subparsers(dest="sub", required=True)
@@ -901,11 +877,11 @@ def _build_parser() -> _Parser:
     ln.add_argument("file")
     ln.add_argument("--word", required=True)
     ln.add_argument("--oracle", type=_int_flag(0), default=None, metavar="R")
-    common(ln)
+    ln.add_argument("--json", action="store_true")
     ln.set_defaults(func=_cmd_gbs_length)
     rp = gb.add_parser("report")
     rp.add_argument("file")
-    common(rp)
+    rp.add_argument("--json", action="store_true")
     rp.set_defaults(func=_cmd_gbs_report)
 
     lat = sub.add_parser("lattice").add_subparsers(dest="sub", required=True)
@@ -918,14 +894,15 @@ def _build_parser() -> _Parser:
         "--maxlen", type=_int_flag(1, ("LATTICE_MAX_WORD_LENGTH", LATTICE_MAX_WORD_LENGTH)),
         default=8, metavar="L",
     )
-    common(lv)
+    lv.add_argument("--json", action="store_true")
+    lv.add_argument("--seed", type=_int_flag(), default=0)
     lv.set_defaults(func=_cmd_lattice_verify)
 
     cy = sub.add_parser("cylinders").add_subparsers(dest="sub", required=True)
     cq = cy.add_parser("quotient")
     cq.add_argument("file")
     cq.add_argument("--collapse", action="store_true")
-    common(cq)
+    cq.add_argument("--json", action="store_true")
     cq.set_defaults(func=_cmd_cylinders_quotient)
 
     ex = sub.add_parser("export").add_subparsers(dest="sub", required=True)

@@ -18,6 +18,22 @@ def clipped(text: str, show=repr) -> str:
     return show(text) if len(text) <= 40 else f"{show(text[:20])}... ({len(text)} chars)"
 
 
+def int_text(n: int) -> str:
+    """n for an error message, clipped as clipped() cuts it; an integer past
+    the interpreter's limit on digits has no decimal text and is named by
+    its sign and size in bits."""
+    try:
+        return clipped(str(n), str)
+    except ValueError:
+        return f"<{'negative' if n < 0 else 'positive'} integer of {n.bit_length()} bits>"
+
+
+def require_nonnegative(what: str, n: int) -> None:
+    """SemanticError unless the bound n is >= 0."""
+    if n < 0:
+        raise SemanticError(f"{what} must be >= 0, got {int_text(n)}")
+
+
 # -- orbifold ---------------------------------------------------------------
 
 class ConeOrderTooSmall(SplittingsError):

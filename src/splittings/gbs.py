@@ -35,6 +35,9 @@ from .errors import (
     NotHyperbolic,
     SemanticError,
     ZeroLabel,
+    clipped,
+    int_text,
+    require_nonnegative,
 )
 from .report import Report, digest
 
@@ -290,6 +293,8 @@ def _letter_route(g: LabeledGraph, b: str, kind, name, k) -> list[Item]:
     route to the letter's start, its power or crossing, and the tree route
     back. A list, not a tuple: CPython 3.11 keeps freed 20-item tuples on a
     free list it never reuses, so per-call route tuples would pile up there."""
+    if not isinstance(k, int):
+        raise InvalidPath(f"exponent must be an integer, got {clipped(repr(k), str)}")
     if kind == "a":
         if name not in g.index.depth:
             raise InvalidPath(f"unknown vertex {name!r} in letter a[{name}]")
@@ -363,30 +368,37 @@ def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross],
         raise InvalidPath(f"base {w.base!r} is not a vertex")
     out: list[tuple[Optional[Cross], int, str]] = []
     c, p, v = None, 0, w.base
-    for item in w.items:
-        if type(item) is Pow:
-            if item.vertex != v:
-                raise InvalidPath(f"power at {item.vertex!r} but path is at {v!r}")
-            p += item.n
-            continue
-        e = edges.get(item.edge)
-        if e is None:
-            raise SemanticError(f"no edge named {item.edge!r}")
-        if item.sign > 0:
-            dep, arr, d, a = e.origin, e.terminus, e.lam, e.mu
-        else:
-            dep, arr, d, a = e.terminus, e.origin, e.mu, e.lam
-        if dep != v:
-            raise InvalidPath(
-                f"crossing of {item.edge!r} departs {dep!r} but path is at {v!r}"
-            )
-        if c is not None and c.edge == item.edge and c.sign == -item.sign and p % d == 0:
-            carry = p // d * a
-            c, p, v = out.pop()
-            p += carry
-        else:
-            out.append((c, p, v))
-            c, p, v = item, 0, arr
+    item = None
+    try:
+        for item in w.items:
+            if type(item) is Pow:
+                if item.vertex != v:
+                    raise InvalidPath(f"power at {item.vertex!r} but path is at {v!r}")
+                p += item.n
+                continue
+            e = edges.get(item.edge)
+            if e is None:
+                raise SemanticError(f"no edge named {item.edge!r}")
+            if item.sign > 0:
+                dep, arr, d, a = e.origin, e.terminus, e.lam, e.mu
+            else:
+                dep, arr, d, a = e.terminus, e.origin, e.mu, e.lam
+            if dep != v:
+                raise InvalidPath(
+                    f"crossing of {item.edge!r} departs {dep!r} but path is at {v!r}"
+                )
+            if c is not None and c.edge == item.edge and c.sign == -item.sign and p % d == 0:
+                carry = p // d * a
+                c, p, v = out.pop()
+                p += carry
+            else:
+                out.append((c, p, v))
+                c, p, v = item, 0, arr
+    except (AttributeError, TypeError):  # not a Pow or Cross of int exponent or sign
+        raise InvalidPath(
+            f"malformed word item {clipped(repr(item), str)}; items are"
+            " Pow(vertex, int) or Cross(edge, +-1)"
+        ) from None
     if v != w.base:
         raise InvalidPath(f"path ends at {v!r}, not at base {w.base!r}")
     out.append((c, p, v))
@@ -561,6 +573,7 @@ def irreducibility_witness(
     hyperbolic w1, w2 whose commutator is hyperbolic; finding one certifies
     irreducibility, finding none only exhausts the budget (a
     semi-decision)."""
+    require_nonnegative("search length bound L", L)
     g = validate_graph(g)
     pool: list[tuple[GroupWord, GroupWord]] = []  # (element, its inverse)
     for w, seq in _elements(g, L):
@@ -763,8 +776,7 @@ def jsj_report(g: LabeledGraph) -> Report:
     group presented by g, from its elementary classification and the
     per-vertex label divisibility criterion of the reduced graph."""
     g = validate_graph(g)
-    rep = Report(operation="gbs.jsj_report")
-    rep.provenance["graph_digest"] = _graph_digest(g)
+    rep = Report(operation="gbs.jsj_report", graph_digest=_graph_digest(g))
     reduced = reduce(g)
     cls = classify_elementary(g)
     rep.add("classify_elementary", "classification", cls.label())
@@ -956,6 +968,7 @@ def ball_displacement_oracle(g: LabeledGraph, w: GroupWord, radius: int) -> Orac
     value is read at the base, and a vertex that disagrees raises
     IdentityViolation as soon as it is made. The validity flag is set when
     the radius exceeds the word's reach plus the computed value."""
+    require_nonnegative("oracle radius", radius)
     g = validate_graph(g)
     validate_word(g, w)
     w_steps, w_pending, reach = _normalize_steps(g, w.items)
@@ -1005,8 +1018,9 @@ def random_letter_word(g: LabeledGraph, rng: random.Random, max_len: int) -> lis
 def sample_words(
     g: LabeledGraph, count: int, max_len: int, seed: int
 ) -> list[GroupWord]:
+    require_nonnegative("sampled word count", count)
     if max_len < 1:
-        raise SemanticError(f"sampled words need a length bound >= 1, got {max_len}")
+        raise SemanticError(f"sampled words need a length bound >= 1, got {int_text(max_len)}")
     g = validate_graph(g)
     rng = random.Random(seed)
     return [

@@ -29,7 +29,8 @@ from .errors import (
     InvalidOrbifold,
     NotHyperbolic,
     SemanticError,
-    clipped,
+    int_text,
+    require_nonnegative,
 )
 
 M = "M"
@@ -478,10 +479,12 @@ def _census(
     and a circle part, each computed once per multiset, so a row costs one
     lcm and one gcd.
 
-    Budgets above CENSUS_MAX_BUDGET raise SemanticError before any work."""
+    Negative budgets and budgets above CENSUS_MAX_BUDGET raise
+    SemanticError before any work."""
+    require_nonnegative("census budget", budget)
     if budget > CENSUS_MAX_BUDGET:
         raise SemanticError(
-            f"census budget {clipped(str(budget), str)} is over the cap CENSUS_MAX_BUDGET ="
+            f"census budget {int_text(budget)} is over the cap CENSUS_MAX_BUDGET ="
             f" {CENSUS_MAX_BUDGET}; the census grows 10-13x per budget step"
         )
     shapes = _circle_shapes(budget, budget)
@@ -552,8 +555,9 @@ def enumerate_orbifolds(budget: int) -> list[Orbifold2]:
     Rows are built already in validate's normal form and each appears once:
     _circle_shapes generates each canonical circle once, and cones and circle
     multisets are generated as sorted multisets. They are also built in
-    sorted order, so nothing is sorted or deduplicated at the end. Budgets
-    above CENSUS_MAX_BUDGET raise SemanticError before any work."""
+    sorted order, so nothing is sorted or deduplicated at the end. Negative
+    budgets and budgets above CENSUS_MAX_BUDGET raise SemanticError before
+    any work."""
     census = _census(budget)
     cones, circles = census.cones, census.circles
     return [

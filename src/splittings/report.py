@@ -37,13 +37,26 @@ class Verdict:
     informational: bool = False
 
 
+def envelope(operation: str, input_digest: Optional[str], seed: Optional[int] = None) -> dict:
+    """The keys that open every JSON result: the operation, the tool, the
+    sha256 of the input and the seed of the words sampled (None when the
+    command samples nothing)."""
+    return {
+        "operation": operation,
+        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+        "input_digest": input_digest,
+        "seed": seed,
+    }
+
+
 @dataclass
 class Report:
     operation: str
     verdicts: list[Verdict] = field(default_factory=list)
     values: dict[str, str] = field(default_factory=dict)
-    provenance: dict[str, str] = field(default_factory=dict)
+    input_digest: Optional[str] = None
     seed: Optional[int] = None
+    graph_digest: Optional[str] = None
 
     def add(self, op: str, key: str, value: str, informational: bool = False) -> None:
         self.verdicts.append(Verdict(op, key, value, informational))
@@ -54,15 +67,9 @@ class Report:
                 return v.value
         return None
 
-    def contains(self, text: str) -> bool:
-        return any(text in v.value for v in self.verdicts)
-
     def to_dict(self) -> dict:
-        return {
-            "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
-            "operation": self.operation,
-            "seed": self.seed,
-            "provenance": dict(sorted(self.provenance.items())),
+        d = {
+            **envelope(self.operation, self.input_digest, self.seed),
             "verdicts": [
                 {
                     "op": v.op,
@@ -73,9 +80,10 @@ class Report:
                 for v in self.verdicts
             ],
             "values": dict(sorted(self.values.items())),
-            "witnesses": {},
-            "hypotheses": [],
         }
+        if self.graph_digest is not None:
+            d["graph_digest"] = self.graph_digest
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -17,7 +17,7 @@ from operator import add
 from typing import Iterable, Optional, Sequence
 
 from . import gbs
-from .errors import SemanticError
+from .errors import SemanticError, require_nonnegative
 from .gbs import GroupWord, LabeledGraph
 
 
@@ -116,6 +116,7 @@ def squarefree_witnesses(
     one separating their length functions. Pairs left unwitnessed within
     the budget map to None (a semi-decision; the distinctness of prime
     factors guarantees a witness exists)."""
+    require_nonnegative("search length bound L", L)
     primes = sorted(prime_factors(K), key=lambda p: sorted(p.kept))
     remaining = {
         frozenset((p1, p2)): (p1.kept, p2.kept)

@@ -285,6 +285,25 @@ class TestRun:
         assert code == 1 and out == ""
         assert "unrecognized arguments" in err and "usage:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("orbifold", "analyze", "pants.txt"),
+            ("orbifold", "enumerate", "--budget", "1"),
+            ("gbs", "length", "bs23.txt", "--word", "t"),
+            ("gbs", "report", "bs23.txt"),
+            ("cylinders", "quotient", "tripods.txt"),
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_seed_only_where_words_are_sampled(self, argv):
+        # only lattice verify samples words; the other commands have no
+        # seed to take
+        argv = [str(INPUTS / a) if a.endswith(".txt") else a for a in argv]
+        code, out, err = run(*argv, "--seed", "1")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --seed 1" in err and "usage:" in err
+
     def test_export_dot_orbifold_rejected(self):
         code, _, err = run("export", "dot", str(INPUTS / "pants.txt"))
         assert code == 1
@@ -434,7 +453,7 @@ class TestHostileInput:
             ("lattice", "verify", "m3.txt", "--words"),
             ("lattice", "verify", "m3.txt", "--maxlen"),
             ("gbs", "length", "bs23.txt", "--word", "t", "--oracle"),
-            ("orbifold", "enumerate", "--budget", "1", "--seed"),
+            ("lattice", "verify", "m3.txt", "--seed"),
         ],
         ids=["budget", "words", "maxlen", "oracle", "seed"],
     )
@@ -721,13 +740,13 @@ PINNED_OUTPUT = [
     (("export", "dot", "tripods.txt", "--collapse"),
      0, "5a52b6271581424264758752ec19caba5c94b4d3833f1d92bf00fbbbd13a8a74"),
     (("gbs", "report", "bs23.txt", "--json"),
-     0, "96f8d0d51b304bcddac8291d386a1151b8564cc7bb0bcc79910ce8b6b41a644d"),
+     0, "678477ced2438ea8513d6d3eea3380a7f5d65d77477337b5bf799104a152ae21"),
     (("gbs", "length", "bs23.txt", "--word", "atat", "--oracle", "8", "--json"),
-     0, "f82955101c6b56c10614a401c835030fb86c75f177d84a3e84b71f1e723e24bf"),
+     0, "1357f08737b0a8f6b8c35a9b09ce0cd29eac2bd2ab1f4f9b0155d3784b7ea7f3"),
     (("orbifold", "analyze", "mirror_disc.txt", "--json"),
      0, "371f8dd87d2023e55a0caa300baae3ad9d51f0f7e486c048df22722229c4d5bd"),
     (("lattice", "verify", "m3.txt", "--words", "25", "--maxlen", "6", "--seed", "11", "--json"),
-     0, "05cc763ea1b797d7a093161a01b091c9c96e260a88938b30826188bc98112b36"),
+     0, "b5f4f6b9cda63e6ece564ebf11ca41c4c89c33cdbd6184b17c0285be8a45b8e6"),
     (("cylinders", "quotient", "tripods.txt", "--json"),
      0, "5061073080e86b20d342b793778b2c29825bf069019922f53a153cb8cd4a03fb"),
 ]
@@ -809,3 +828,47 @@ class TestDeterminism:
         _, out2, _ = run(*argv)
         assert out1 == out2
         assert out1.encode("utf-8") == out2.encode("utf-8")
+
+
+def _keys(obj):
+    """Every key of every JSON object inside obj, with repeats."""
+    if isinstance(obj, dict):
+        return [k for key, value in obj.items() for k in (key, *_keys(value))]
+    if isinstance(obj, list):
+        return [k for value in obj for k in _keys(value)]
+    return []
+
+
+# each --json command on inputs/, what its input digest hashes, and its seed
+ENVELOPE_CASES = [
+    (("orbifold", "analyze", "pants.txt"), "pants.txt", None),
+    (("orbifold", "enumerate", "--budget", "3"), "budget=3", None),
+    (("gbs", "length", "bs23.txt", "--word", "atat", "--oracle", "8"), "bs23.txt", None),
+    (("gbs", "report", "m3.txt"), "m3.txt", None),
+    (("lattice", "verify", "m3.txt", "--words", "10", "--seed", "7"), "m3.txt", 7),
+    (("lattice", "verify", "m3.txt", "--words", "10"), "m3.txt", 0),
+    (("cylinders", "quotient", "tripods.txt", "--collapse"), "tripods.txt", None),
+]
+
+
+class TestEnvelope:
+    """Every --json command opens with the same envelope: the operation,
+    one tool object, the sha256 of its input and the seed of the words it
+    sampled, null when it samples none."""
+
+    @pytest.mark.parametrize(
+        "argv, digested, seed", ENVELOPE_CASES, ids=[" ".join(a) for a, _, _ in ENVELOPE_CASES]
+    )
+    def test_one_envelope(self, argv, digested, seed):
+        argv = [str(INPUTS / a) if a.endswith(".txt") else a for a in argv]
+        code, out, _ = run(*argv, "--json")
+        assert code == 0
+        obj = json.loads(out)
+        keys = _keys(obj)
+        assert keys.count("tool") == 1
+        assert obj["tool"] == {"name": "splittings", "version": sp.__version__}
+        assert not {"provenance", "witnesses", "tool_version"} & set(keys)
+        data = (INPUTS / digested).read_bytes() if digested.endswith(".txt") else digested.encode()
+        assert obj["input_digest"] == hashlib.sha256(data).hexdigest()
+        assert obj["seed"] == seed
+        assert obj["operation"].startswith(argv[0] + ".")

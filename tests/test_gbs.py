@@ -8,10 +8,13 @@ from splittings.errors import (
     InvalidPath,
     NotHyperbolic,
     SemanticError,
+    SplittingsError,
     ZeroLabel,
 )
-from splittings import gbs
-from splittings.gbs import Cross, Pow
+from splittings import gbs, tree_arithmetic as ta
+from splittings.gbs import Cross, GroupWord, Pow
+
+from conftest import make_m3
 
 
 def W(g, *letters):
@@ -464,7 +467,7 @@ class TestJsjReport:
         rep = sp.jsj_report(bs23)
         assert rep.verdict("divisibility") == "holds at every vertex"
         assert rep.verdict("conclusion") == "unique reduced JSJ tree; T_co = T_J"
-        assert rep.contains("rigid; T_co = T_J")
+        assert rep.verdict("summary") == "rigid; T_co = T_J"
 
     def test_bs14_prime_power(self):
         rep = sp.jsj_report(sp.bs(1, 4))
@@ -513,3 +516,29 @@ class TestJsjReport:
         rep = sp.jsj_report(g)
         assert rep.verdict("classification") == "Z"
         assert rep.values["edges_after_reduction"] == "0"
+
+
+def _squarefree(L):
+    m = ta.master(make_m3())
+    return ta.squarefree_witnesses(m, ta.collapse(m, ("e", "ep", "f")), L)
+
+
+# each call is out of range at a public entry point; none may return or
+# escape as an error outside the package's hierarchy
+BAD_ARGUMENTS = [
+    ("oracle radius -1", lambda: gbs.ball_displacement_oracle(
+        sp.bs(2, 3), W(sp.bs(2, 3), ("t", "e", 1)), -1)),
+    ("irreducibility L -1", lambda: gbs.irreducibility_witness(sp.bs(2, 3), -1)),
+    ("squarefree L -1", lambda: _squarefree(-1)),
+    ("sampled word count -1", lambda: gbs.sample_words(sp.bs(2, 3), -1, 4, 0)),
+    ("sampled word length -10^5000", lambda: gbs.sample_words(sp.bs(2, 3), 1, -(10**5000), 0)),
+    ("word item not a Pow or Cross", lambda: sp.validate_word(sp.bs(1, 2), GroupWord("v", ("x",)))),
+    ("string exponent", lambda: W(sp.bs(1, 2), ("a", "v", "2"))),
+    ("float crossing exponent", lambda: W(sp.bs(1, 2), ("t", "e", 1.0))),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in BAD_ARGUMENTS], ids=[n for n, _ in BAD_ARGUMENTS])
+def test_bad_arguments_raise_splittings_error(call):
+    with pytest.raises(SplittingsError):
+        call()

@@ -462,7 +462,7 @@ class TestCanonicalShapes:
             }
 
 
-def _whole_document_census(budget, seed, as_json):
+def _whole_document_census(budget, as_json):
     """The census output as the CLI wrote it before it streamed: one dict
     per row with chi from euler_characteristic and the public verdicts, and
     one json.dumps of the whole document."""
@@ -489,7 +489,7 @@ def _whole_document_census(budget, seed, as_json):
             "operation": "orbifold.enumerate",
             "tool": {"name": "splittings", "version": sp.__version__},
             "input_digest": hashlib.sha256(f"budget={budget}".encode()).hexdigest(),
-            "seed": seed,
+            "seed": None,
             "budget": budget,
             "count": len(rows),
             "orbifolds": rows,
@@ -558,12 +558,17 @@ class TestCensusOutput:
     @pytest.mark.parametrize("seed", [None, "-3", "42"])
     @pytest.mark.parametrize("budget", range(6))
     def test_output_matches_whole_document_path(self, budget, seed, as_json):
+        # the census samples nothing, so a seed is refused before any row
         argv = ["orbifold", "enumerate", "--budget", str(budget)]
         argv += ["--seed", seed] * (seed is not None) + ["--json"] * as_json
-        out = io.StringIO()
-        assert cli_io.run(argv, stdout=out) == 0
-        expect = _whole_document_census(budget, None if seed is None else int(seed), as_json)
-        assert out.getvalue() == expect
+        out, err = io.StringIO(), io.StringIO()
+        code = cli_io.run(argv, stdout=out, stderr=err)
+        if seed is not None:
+            assert code == 1 and out.getvalue() == ""
+            assert f"unrecognized arguments: --seed {seed}" in err.getvalue()
+            return
+        assert code == 0
+        assert out.getvalue() == _whole_document_census(budget, as_json)
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
@@ -603,3 +608,16 @@ class TestCensusOutput:
         cap = orbifold.CENSUS_MAX_BUDGET
         with pytest.raises(SemanticError, match=f"CENSUS_MAX_BUDGET = {cap}"):
             sp.enumerate_orbifolds(cap + 1)
+
+    @pytest.mark.parametrize(
+        "budget", [-1, -(10**5000), 10**5000], ids=["-1", "-10^5000", "10^5000"]
+    )
+    def test_out_of_range_budget_raises_before_work(self, monkeypatch, budget):
+        # 10^5000 is past the interpreter's limit on digits for str()
+        def no_work(*args):
+            raise AssertionError("census work started")
+
+        monkeypatch.setattr(orbifold, "_circle_shapes", no_work)
+        with pytest.raises(SemanticError) as exc:
+            sp.enumerate_orbifolds(budget)
+        assert len(str(exc.value).encode()) < 300
