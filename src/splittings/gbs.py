@@ -18,6 +18,8 @@ check of the Britton engine.
 validate_graph attaches a GraphIndex to the graph it returns (edges by id,
 departing crossings, spanning-tree parents and depths), so edge lookups are
 dict reads, tree paths cost O(depth) and reductions O(n) in word items.
+A word keeps its reduction for the graph index it was first reduced on
+(GroupWord.reduced), so every length question after the first reads it.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def _breadth_first(
 
 
 def validate_graph(g: LabeledGraph) -> LabeledGraph:
-    """Verify connectivity and nonzero labels; fix a base vertex and a
+    """Verify connectivity and nonzero integer labels; fix a base vertex and a
     spanning tree deterministically when absent, check a given one, and
     attach the graph's index. An indexed graph is returned unchanged."""
     if g.index is not None:
@@ -143,6 +145,12 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
         raise SemanticError("duplicate edge id")
     departing: dict[str, list[Cross]] = {v: [] for v in g.vertices}
     for e in g.edges:
+        for x in (e.lam, e.mu):
+            if type(x) is not int:  # bool is an int subclass, so it fails too
+                raise SemanticError(
+                    f"edge {e.id} carries the label {clipped(repr(x), str)};"
+                    " labels are nonzero integers"
+                )
         if e.lam == 0 or e.mu == 0:
             raise ZeroLabel(f"edge {e.id} carries a zero label")
         if e.origin not in departing or e.terminus not in departing:
@@ -209,8 +217,29 @@ Item = Union[Pow, Cross]
 
 @dataclass(frozen=True)
 class GroupWord:
+    """A closed edge path at base. The first length question on an indexed
+    graph stores the word's reduction in `reduced`, which later questions on
+    that same index reuse; like LabeledGraph.index it is invisible to
+    equality, hashing and repr, and no constructor argument sets it.
+
+    >>> g = bs(2, 3)
+    >>> w = make_word(g, [("t", "e", 1), ("a", "v", 1)])
+    >>> before = repr(w)
+    >>> translation_length(g, w)
+    1
+    >>> w.reduced[0] is g.index
+    True
+    >>> fresh = GroupWord(w.base, w.items)
+    >>> w == fresh, hash(w) == hash(fresh), repr(w) == before == repr(fresh)
+    (True, True, True)
+    """
+
     base: str
     items: tuple[Item, ...] = ()
+    # (graph index, linear pass, cyclic pass), set by _reduce
+    reduced: Optional[tuple] = field(
+        default=None, init=False, compare=False, repr=False, hash=False
+    )
 
 
 # The crossing helpers take an indexed graph and a crossing of one of its
@@ -234,8 +263,8 @@ def _dep_label(g: LabeledGraph, c: Cross) -> int:
 def validate_word(g: LabeledGraph, w: GroupWord) -> GroupWord:
     """Check path-consistency: each item departs from the vertex where the
     previous one ends, and the path closes up at the base. This is the
-    linear Britton pass with its output discarded."""
-    _linear_reduce(validate_graph(g), w)
+    word's reduction (see _reduce) with its output discarded."""
+    _reduce(g, w)
     return w
 
 
@@ -379,10 +408,12 @@ def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross],
             e = edges.get(item.edge)
             if e is None:
                 raise SemanticError(f"no edge named {item.edge!r}")
-            if item.sign > 0:
+            if item.sign == 1:
                 dep, arr, d, a = e.origin, e.terminus, e.lam, e.mu
-            else:
+            elif item.sign == -1:
                 dep, arr, d, a = e.terminus, e.origin, e.mu, e.lam
+            else:
+                raise _malformed(item)
             if dep != v:
                 raise InvalidPath(
                     f"crossing of {item.edge!r} departs {dep!r} but path is at {v!r}"
@@ -395,14 +426,18 @@ def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross],
                 out.append((c, p, v))
                 c, p, v = item, 0, arr
     except (AttributeError, TypeError):  # not a Pow or Cross of int exponent or sign
-        raise InvalidPath(
-            f"malformed word item {clipped(repr(item), str)}; items are"
-            " Pow(vertex, int) or Cross(edge, +-1)"
-        ) from None
+        raise _malformed(item) from None
     if v != w.base:
         raise InvalidPath(f"path ends at {v!r}, not at base {w.base!r}")
     out.append((c, p, v))
     return out
+
+
+def _malformed(item) -> InvalidPath:
+    return InvalidPath(
+        f"malformed word item {clipped(repr(item), str)}; items are"
+        " Pow(vertex, int) or Cross(edge, +-1)"
+    )
 
 
 def _cyclic_reduce(g: LabeledGraph, linear) -> tuple[list[tuple[Cross, int]], str, int]:
@@ -435,10 +470,20 @@ def _cyclic_reduce(g: LabeledGraph, linear) -> tuple[list[tuple[Cross, int]], st
 
 def _reduce(g: LabeledGraph, w: GroupWord):
     """The reduction core shared by every length consumer: the indexed
-    graph, the linear pass, and the cyclic pass over it."""
+    graph, the linear pass, and the cyclic pass over it. The passes run
+    once per word and graph index: the first successful call stores them on
+    the word, and a later call reuses them only when the stored index is
+    this graph's index object (a re-indexed or relabelled graph misses). A
+    word that fails its checks stores nothing, so it fails the same way on
+    every call. Callers must not mutate the returned lists."""
     g = validate_graph(g)
+    memo = w.reduced
+    if memo is not None and memo[0] is g.index:
+        return g, memo[1], memo[2]
     linear = _linear_reduce(g, w)
-    return g, linear, _cyclic_reduce(g, linear)
+    cyclic = _cyclic_reduce(g, linear)
+    object.__setattr__(w, "reduced", (g.index, linear, cyclic))
+    return g, linear, cyclic
 
 
 def _word_from_linear(base: str, linear) -> GroupWord:
@@ -593,10 +638,10 @@ def modular_homomorphism(g: LabeledGraph, w: GroupWord) -> Fraction:
     ones; a homomorphism to the nonzero rationals, trivial on vertex
     powers. Read off the crossings the linear pass keeps: a pinch removes
     lam/mu together with mu/lam."""
-    g = validate_graph(g)
+    g, linear, _ = _reduce(g, w)
     edges = g.index.edges
     num = den = 1
-    for c, _, _ in _linear_reduce(g, w)[1:]:
+    for c, _, _ in linear[1:]:
         e = edges[c.edge]
         num *= e.lam if c.sign > 0 else e.mu
         den *= e.mu if c.sign > 0 else e.lam

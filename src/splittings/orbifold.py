@@ -201,14 +201,20 @@ def _validate_circle(c: BoundaryCircle) -> Optional[BoundaryCircle]:
     return _canonical_mixed(word, corners)
 
 
-def validate(o: Orbifold2) -> Orbifold2:
-    """Check invariants and return the normalized orbifold: cones sorted,
-    boundary runs merged, mixed words in canonical rotation/reflection,
-    circles sorted."""
+def _check_surface(o: Orbifold2) -> None:
+    """The underlying surface exists: the genus is not negative, and a
+    non-orientable surface has at least one cross-cap."""
     if o.genus < 0:
         raise InvalidOrbifold("negative genus")
     if not o.orientable and o.genus < 1:
         raise InvalidOrbifold("a non-orientable surface needs at least one cross-cap")
+
+
+def validate(o: Orbifold2) -> Orbifold2:
+    """Check invariants and return the normalized orbifold: cones sorted,
+    boundary runs merged, mixed words in canonical rotation/reflection,
+    circles sorted."""
+    _check_surface(o)
     for q in o.cone_points:
         if q < 2:
             raise ConeOrderTooSmall(f"cone order {q} < 2")
@@ -232,11 +238,14 @@ def euler_characteristic(o: Orbifold2) -> Fraction:
     2 - 2*genus - b for orientable, 2 - genus - b otherwise, with b the
     number of boundary circles. The sum is taken in integers over the
     common denominator d = lcm(4, cone orders, 2 * corner orders) and made a
-    Fraction once.
+    Fraction once. A surface that cannot exist (negative genus, or no
+    cross-cap on a non-orientable one) raises InvalidOrbifold, as in
+    validate.
 
     >>> euler_characteristic(validate(Orbifold2(True, 0, (2, 3, 7))))
     Fraction(-1, 42)
     """
+    _check_surface(o)
     quarters = 4 * (2 - (2 * o.genus if o.orientable else o.genus) - len(o.circles))
     quarters -= 4 * len(o.cone_points)
     dens = list(o.cone_points)

@@ -35,6 +35,15 @@ class TestValidateGraph:
         with pytest.raises(ZeroLabel):
             sp.validate_graph(sp.graph(("v",), (("e", "v", "v", 0, 2),)))
 
+    @pytest.mark.parametrize("label", ["2", 2.0, True, None])
+    def test_label_not_an_integer(self, label):
+        for labels in ((label, 2), (3, label)):
+            g = sp.LabeledGraph(("v",), (sp.Edge("e", "v", "v", *labels),))
+            with pytest.raises(SemanticError, match="labels are nonzero integers"):
+                sp.validate_graph(g)
+            with pytest.raises(SemanticError, match="labels are nonzero integers"):
+                sp.jsj_report(g)
+
     def test_disconnected(self):
         with pytest.raises(Disconnected):
             sp.validate_graph(

@@ -60,6 +60,17 @@ class TestValidation:
         with pytest.raises(InvalidOrbifold):
             orb(orientable=False, genus=0)
 
+    @pytest.mark.parametrize("orientable, genus", [(True, -1), (False, -1), (False, 0)])
+    def test_euler_characteristic_checks_the_surface(self, orientable, genus):
+        # an unvalidated surface that cannot exist has no chi; the error is
+        # validate's, type and message
+        o = Orbifold2(orientable, genus, (2, 3))
+        with pytest.raises(InvalidOrbifold) as expected:
+            sp.validate(o)
+        with pytest.raises(InvalidOrbifold) as got:
+            sp.euler_characteristic(o)
+        assert str(got.value) == str(expected.value)
+
     def test_mirror_adjacency_needs_corner(self):
         with pytest.raises(InvalidCircle):
             orb(circles=(mixed((M, M)),))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -241,6 +242,87 @@ def test_word_errors_match_reference_validator(g, data):
                 assert (type(exc), str(exc)) == expected
             else:
                 assert expected is None
+
+
+def outcome(consume, w):
+    # a consumer's result, or the type and message of its error
+    try:
+        return consume(w)
+    except sp.SplittingsError as exc:
+        return (type(exc), str(exc))
+
+
+@given(gbs_graphs(), st.data())
+def test_reduction_memo_misses_on_a_relabelled_graph(g, data):
+    # a word reduced on g, asked again on a graph with the same vertices and
+    # edge ids but other labels, answers as a fresh copy of itself does
+    edges = tuple(
+        Edge(
+            e.id, e.origin, e.terminus,
+            data.draw(LABELS.filter(lambda x, old=e.lam: x != old)),
+            data.draw(LABELS.filter(lambda x, old=e.mu: x != old)),
+        )
+        for e in g.edges
+    )
+    relabelled = sp.validate_graph(
+        sp.LabeledGraph(g.vertices, edges, g.base, g.spanning_tree)
+    )
+    w = sp.make_word(g, data.draw(letters_for(g)))
+    for consume in word_consumers(g):
+        consume(w)
+    assert w.reduced[0] is g.index
+    for consume in word_consumers(relabelled):
+        assert consume(w) == consume(sp.GroupWord(w.base, w.items))
+
+
+@given(gbs_graphs(), st.data())
+def test_word_errors_repeat_on_every_call(g, data):
+    # no failed reduction is stored, so a second call fails as the first did
+    w = sp.make_word(g, data.draw(letters_for(g)))
+    consumers = word_consumers(g)
+    for bad in corruptions(g, w, data):
+        for consume in consumers:
+            first = outcome(consume, bad)
+            assert outcome(consume, bad) == first
+
+
+def test_each_word_is_reduced_once_per_graph_index(monkeypatch):
+    calls = []
+    linear_reduce = gbs._linear_reduce
+
+    def counting(g, w):
+        calls.append(w)
+        return linear_reduce(g, w)
+
+    monkeypatch.setattr(gbs, "_linear_reduce", counting)
+    w = sp.make_word(M3, (("t", "e", 1), ("a", "u", 2), ("t", "ep", -1)))
+    for consume in word_consumers(M3):
+        consume(w)
+    assert len(calls) == 1
+    reindexed = sp.validate_graph(dataclasses.replace(M3, index=None))
+    assert reindexed.index is not M3.index
+    for consume in word_consumers(reindexed):
+        consume(w)
+    assert len(calls) == 2
+    # the stored reduction cannot be forged through the constructor
+    with pytest.raises(TypeError):
+        sp.GroupWord(w.base, w.items, w.reduced)
+
+
+@pytest.mark.parametrize("sign", [2, 0, -3])
+@pytest.mark.parametrize("g", [BS23, M3], ids=["bs23", "m3"])
+def test_crossing_sign_other_than_unit_is_malformed(g, sign):
+    e = g.edges[0]
+    bad = Cross(e.id, sign)
+    loop = (Cross(e.id, 1), Pow(e.terminus, 1), Cross(e.id, -1))
+    message = (
+        f"malformed word item {bad!r}; items are Pow(vertex, int) or Cross(edge, +-1)"
+    )
+    # leading, and after a valid closed loop at the base
+    for items in ((bad, Cross(e.id, -1)), loop + (bad,)):
+        w = sp.GroupWord(e.origin, items)
+        for consume in word_consumers(g):
+            assert outcome(consume, w) == (sp.InvalidPath, message)
 
 
 def reference_linear_reduce(g, w):
