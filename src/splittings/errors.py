@@ -29,7 +29,10 @@ def int_text(n: int) -> str:
 
 
 def require_nonnegative(what: str, n: int) -> None:
-    """SemanticError unless the bound n is >= 0."""
+    """SemanticError unless the bound n is an integer >= 0 (bool is an int
+    subclass, so it passes)."""
+    if not isinstance(n, int):
+        raise SemanticError(f"{what} must be an integer, got {clipped(repr(n), str)}")
     if n < 0:
         raise SemanticError(f"{what} must be >= 0, got {int_text(n)}")
 

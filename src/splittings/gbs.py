@@ -16,8 +16,10 @@ recomputes it from explicit tree geometry and serves as the independent
 check of the Britton engine.
 
 validate_graph attaches a GraphIndex to the graph it returns (edges by id,
-departing crossings, spanning-tree parents and depths), so edge lookups are
-dict reads, tree paths cost O(depth) and reductions O(n) in word items.
+one move per crossing, spanning-tree parents and depths), so edge lookups
+are dict reads, tree paths cost O(depth) and reductions O(n) in word items.
+A move holds a crossing with its reverse, its departure and arrival
+vertices and labels; every word walker reads crossings through the moves.
 A word keeps its reduction for the graph index it was first reduced on
 (GroupWord.reduced), so every length question after the first reads it.
 """
@@ -83,14 +85,18 @@ class LabeledGraph:
 @dataclass(frozen=True, eq=False)
 class GraphIndex:
     """Lookup tables of a validated graph, built once by validate_graph.
-    departing[v] lists the crossings leaving v in edge order (the forward
-    crossing of an edge before its backward one). The spanning tree is
-    rooted at the base: parent[v] = (parent vertex, crossing from v up to
-    it, crossing from it down to v) for every other vertex, and depth[v]
-    counts tree edges from the base."""
+    A move is the tuple (crossing, reverse crossing, departure, arrival,
+    departure label, arrival label); the walkers push only these crossing
+    objects, so they compare crossings with `is`. moves[e] is the
+    (forward, backward) pair of edge e, and departing[v] lists the moves
+    leaving v in edge order (the forward move of an edge before its
+    backward one). The spanning tree is rooted at the base: parent[v] =
+    (parent vertex, crossing from v up to it, crossing from it down to v)
+    for every other vertex, and depth[v] counts tree edges from the base."""
 
     edges: dict[str, Edge]
-    departing: dict[str, tuple[Cross, ...]]
+    moves: dict[str, tuple[Move, Move]]
+    departing: dict[str, tuple[Move, ...]]
     parent: dict[str, tuple[str, Cross, Cross]]
     depth: dict[str, int]
 
@@ -108,24 +114,17 @@ def bs(m: int, n: int) -> LabeledGraph:
 
 
 def _breadth_first(
-    base: str,
-    departing: dict[str, list[Cross]],
-    edges: dict[str, Edge],
-    usable: Container[str],
-) -> dict[str, Optional[Cross]]:
-    """Vertices reachable from base along crossings of usable edges, in
-    breadth-first order, each with the crossing that first reached it."""
-    reached: dict[str, Optional[Cross]] = {base: None}
+    base: str, departing: dict[str, list[Move]], usable: Container[str]
+) -> dict[str, Optional[Move]]:
+    """Vertices reachable from base along moves of usable edges, in
+    breadth-first order, each with the move that first reached it."""
+    reached: dict[str, Optional[Move]] = {base: None}
     queue = deque((base,))
     while queue:
-        v = queue.popleft()
-        for c in departing[v]:
-            if c.edge not in usable:
-                continue
-            e = edges[c.edge]
-            b = e.terminus if c.sign > 0 else e.origin
-            if b not in reached:
-                reached[b] = c
+        for m in departing[queue.popleft()]:
+            b = m[3]
+            if m[0].edge in usable and b not in reached:
+                reached[b] = m
                 queue.append(b)
     return reached
 
@@ -143,7 +142,8 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
     edges = {e.id: e for e in g.edges}
     if len(edges) != len(g.edges):
         raise SemanticError("duplicate edge id")
-    departing: dict[str, list[Cross]] = {v: [] for v in g.vertices}
+    moves: dict[str, tuple[Move, Move]] = {}
+    departing: dict[str, list[Move]] = {v: [] for v in g.vertices}
     for e in g.edges:
         for x in (e.lam, e.mu):
             if type(x) is not int:  # bool is an int subclass, so it fails too
@@ -155,17 +155,21 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
             raise ZeroLabel(f"edge {e.id} carries a zero label")
         if e.origin not in departing or e.terminus not in departing:
             raise SemanticError(f"edge {e.id} attached to an unknown vertex")
-        departing[e.origin].append(Cross(e.id, +1))
-        departing[e.terminus].append(Cross(e.id, -1))
+        fwd, bwd = Cross(e.id, +1), Cross(e.id, -1)
+        forward = (fwd, bwd, e.origin, e.terminus, e.lam, e.mu)
+        backward = (bwd, fwd, e.terminus, e.origin, e.mu, e.lam)
+        moves[e.id] = (forward, backward)
+        departing[e.origin].append(forward)
+        departing[e.terminus].append(backward)
     base = g.base if g.base is not None else min(g.vertices)
     if base not in departing:
         raise SemanticError(f"base {base!r} is not a vertex")
     # breadth-first spanning tree, edges taken in listed order
-    reached = _breadth_first(base, departing, edges, edges)
+    reached = _breadth_first(base, departing, edges)
     if len(reached) != len(g.vertices):
         raise Disconnected("graph is not connected")
     if g.spanning_tree is None:
-        tree = tuple(sorted({c.edge for c in reached.values() if c is not None}))
+        tree = tuple(sorted({m[0].edge for m in reached.values() if m is not None}))
     else:
         tree = tuple(g.spanning_tree)
         for eid in tree:
@@ -179,21 +183,19 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
                 f"spanning tree has {len(tree)} edges; a spanning tree of"
                 f" {len(g.vertices)} vertices has {len(g.vertices) - 1}"
             )
-        reached = _breadth_first(base, departing, edges, set(tree))
+        reached = _breadth_first(base, departing, set(tree))
         if len(reached) != len(g.vertices):
             missing = next(v for v in g.vertices if v not in reached)
             raise SemanticError(f"spanning tree does not reach vertex {missing!r}")
     parent: dict[str, tuple[str, Cross, Cross]] = {}
     depth = {base: 0}
-    for v, c in reached.items():
-        if c is not None:
-            up = Cross(c.edge, -c.sign)
-            e = edges[c.edge]
-            p = e.origin if c.sign > 0 else e.terminus
-            parent[v] = (p, up, c)
+    for v, m in reached.items():
+        if m is not None:
+            down, up, p = m[0], m[1], m[2]
+            parent[v] = (p, up, down)
             depth[v] = depth[p] + 1
     index = GraphIndex(
-        edges, {v: tuple(cs) for v, cs in departing.items()}, parent, depth
+        edges, moves, {v: tuple(ms) for v, ms in departing.items()}, parent, depth
     )
     return LabeledGraph(tuple(g.vertices), tuple(g.edges), base, tree, g.name, index)
 
@@ -213,6 +215,8 @@ class Cross:
 
 
 Item = Union[Pow, Cross]
+# (crossing, reverse crossing, departure, arrival, departure label, arrival label)
+Move = tuple[Cross, Cross, str, str, int, int]
 
 
 @dataclass(frozen=True)
@@ -242,22 +246,10 @@ class GroupWord:
     )
 
 
-# The crossing helpers take an indexed graph and a crossing of one of its
-# edges, so they read the index without validating again.
-
-def _dep_vertex(g: LabeledGraph, c: Cross) -> str:
-    e = g.index.edges[c.edge]
-    return e.origin if c.sign > 0 else e.terminus
-
-
-def _arr_vertex(g: LabeledGraph, c: Cross) -> str:
-    e = g.index.edges[c.edge]
-    return e.terminus if c.sign > 0 else e.origin
-
-
-def _dep_label(g: LabeledGraph, c: Cross) -> int:
-    e = g.index.edges[c.edge]
-    return e.lam if c.sign > 0 else e.mu
+def _move(g: LabeledGraph, c: Cross) -> Move:
+    """The move of a crossing of an edge of the indexed graph g; reads the
+    index without validating again."""
+    return g.index.moves[c.edge][c.sign < 0]
 
 
 def validate_word(g: LabeledGraph, w: GroupWord) -> GroupWord:
@@ -333,15 +325,14 @@ def _letter_route(g: LabeledGraph, b: str, kind, name, k) -> list[Item]:
         route.append(Pow(name, k))
         return route + tree_path(g, name, b)
     if kind == "t":
-        e = g.index.edges.get(name)
-        if e is None:
+        pair = g.index.moves.get(name)
+        if pair is None:
             raise InvalidPath(f"unknown edge {name!r} in letter t[{name}]")
         if k not in (+1, -1):
             raise InvalidPath(f"crossing exponent must be +-1, got {k}")
-        start = e.origin if k > 0 else e.terminus
-        end = e.terminus if k > 0 else e.origin
+        _, _, start, end, _, _ = pair[k < 0]
         route = tree_path(g, b, start)
-        route.append(Cross(e.id, k))
+        route.append(Cross(name, k))
         return route + tree_path(g, end, b)
     raise InvalidPath(f"unknown letter kind {kind!r}")
 
@@ -357,12 +348,20 @@ def make_word(g: LabeledGraph, letters: Iterable[tuple], base: Optional[str] = N
     b = base if base is not None else g.base
     items: list[Item] = []
     routes: dict[tuple, list[Item]] = {}
-    for kind, name, k in letters:
-        key = (kind, name, k, type(k))
-        route = routes.get(key)
-        if route is None:
-            route = routes[key] = _letter_route(g, b, kind, name, k)
-        items += route
+    letter = letters  # named when the letters cannot be iterated
+    try:
+        for letter in letters:
+            kind, name, k = letter
+            key = (kind, name, k, type(k))
+            route = routes.get(key)
+            if route is None:
+                route = routes[key] = _letter_route(g, b, kind, name, k)
+            items += route
+    except (TypeError, ValueError):  # not a (kind, name, exponent) triple
+        raise InvalidPath(
+            f"malformed letter {clipped(repr(letter), str)}; letters are"
+            " (kind, name, exponent) triples"
+        ) from None
     # routes are closed paths at b, so only the base itself can be wrong
     if b not in g.index.depth:
         raise InvalidPath(f"base {b!r} is not a vertex")
@@ -391,8 +390,9 @@ def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross],
     (c, p, v) lives in locals and only buried entries are on the stack. Its
     vertex is where the path stands, so the pass also checks the path as it
     walks: the base is a vertex, each item departs from the current vertex,
-    and the path closes up at the base."""
-    edges = g.index.edges
+    and the path closes up at the base. It pushes the index's own crossings,
+    so a pinch is the top crossing being the reverse of the item's."""
+    moves = g.index.moves
     if w.base not in g.index.depth:
         raise InvalidPath(f"base {w.base!r} is not a vertex")
     out: list[tuple[Optional[Cross], int, str]] = []
@@ -405,26 +405,26 @@ def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross],
                     raise InvalidPath(f"power at {item.vertex!r} but path is at {v!r}")
                 p += item.n
                 continue
-            e = edges.get(item.edge)
-            if e is None:
+            pair = moves.get(item.edge)
+            if pair is None:
                 raise SemanticError(f"no edge named {item.edge!r}")
             if item.sign == 1:
-                dep, arr, d, a = e.origin, e.terminus, e.lam, e.mu
+                own, rev, dep, arr, d, a = pair[0]
             elif item.sign == -1:
-                dep, arr, d, a = e.terminus, e.origin, e.mu, e.lam
+                own, rev, dep, arr, d, a = pair[1]
             else:
                 raise _malformed(item)
             if dep != v:
                 raise InvalidPath(
                     f"crossing of {item.edge!r} departs {dep!r} but path is at {v!r}"
                 )
-            if c is not None and c.edge == item.edge and c.sign == -item.sign and p % d == 0:
+            if c is rev and p % d == 0:
                 carry = p // d * a
                 c, p, v = out.pop()
                 p += carry
             else:
                 out.append((c, p, v))
-                c, p, v = item, 0, arr
+                c, p, v = own, 0, arr
     except (AttributeError, TypeError):  # not a Pow or Cross of int exponent or sign
         raise _malformed(item) from None
     if v != w.base:
@@ -455,17 +455,17 @@ def _cyclic_reduce(g: LabeledGraph, linear) -> tuple[list[tuple[Cross, int]], st
     while len(pairs) >= 2:
         ci, qi = pairs[-1]
         cj, qj = pairs[0]
-        d = _dep_label(g, cj)
-        if cj.edge != ci.edge or cj.sign != -ci.sign or qi % d != 0:
+        _, rev, _, arr, d, a = _move(g, cj)
+        if ci is not rev or qi % d != 0:
             break
         pairs.pop()
         pairs.popleft()
-        carry = qi // d * _dep_label(g, ci)
+        carry = qi // d * a
         if not pairs:
-            return [], _dep_vertex(g, ci), carry + qj
+            return [], arr, carry + qj
         c, p = pairs.pop()
         pairs.append((c, p + carry + qj))
-    return list(pairs), _dep_vertex(g, pairs[0][0]), 0
+    return list(pairs), _move(g, pairs[0][0])[2], 0
 
 
 def _reduce(g: LabeledGraph, w: GroupWord):
@@ -501,12 +501,12 @@ def _word_from_cyclic(g: LabeledGraph, pairs, res_vertex: str, res_power: int) -
     if not pairs:
         items = (Pow(res_vertex, res_power),) if res_power else ()
         return GroupWord(res_vertex, items)
-    base = _dep_vertex(g, pairs[0][0])
+    base = _move(g, pairs[0][0])[2]
     items: list[Item] = []
     for c, p in pairs:
         items.append(c)
         if p != 0:
-            items.append(Pow(_arr_vertex(g, c), p))
+            items.append(Pow(_move(g, c)[3], p))
     return GroupWord(base, tuple(items))
 
 
@@ -639,12 +639,11 @@ def modular_homomorphism(g: LabeledGraph, w: GroupWord) -> Fraction:
     powers. Read off the crossings the linear pass keeps: a pinch removes
     lam/mu together with mu/lam."""
     g, linear, _ = _reduce(g, w)
-    edges = g.index.edges
     num = den = 1
     for c, _, _ in linear[1:]:
-        e = edges[c.edge]
-        num *= e.lam if c.sign > 0 else e.mu
-        den *= e.mu if c.sign > 0 else e.lam
+        _, _, _, _, d, a = _move(g, c)
+        num *= d
+        den *= a
     return Fraction(num, den)
 
 
@@ -803,7 +802,7 @@ def divisibility_criterion(g: LabeledGraph) -> dict[str, Optional[tuple[int, int
     g = validate_graph(g)
     out: dict[str, Optional[tuple[int, int]]] = {}
     for v in g.vertices:
-        labels = [abs(_dep_label(g, c)) for c in g.index.departing[v]]
+        labels = [abs(m[4]) for m in g.index.departing[v]]
         hit = None
         for i in range(len(labels)):
             for j in range(len(labels)):
@@ -890,28 +889,24 @@ def _normalize_steps(
     exponent r in [0, |departure label|) and quotients carry across the
     edge; a zero-coset step onto the reversed previous edge backtracks.
     Resumes from a state (steps, pending power) and returns the new state
-    with the deepest step count reached on the way."""
-    edges = g.index.edges
+    with the deepest step count reached on the way. Steps hold the index's
+    own crossings (as must the steps of a resumed state), so a backtrack is
+    the last step's crossing being the reverse of the item's."""
+    moves = g.index.moves
     steps = list(steps)
     reach = len(steps)
     for item in items:
         if isinstance(item, Pow):
             pending += item.n
             continue
-        e = edges[item.edge]
-        d, a = (e.lam, e.mu) if item.sign > 0 else (e.mu, e.lam)
+        own, rev, _, _, d, a = moves[item.edge][item.sign < 0]
         r = pending % abs(d)
         q = (pending - r) // d
-        if (
-            r == 0
-            and steps
-            and steps[-1][0].edge == item.edge
-            and steps[-1][0].sign == -item.sign
-        ):
+        if r == 0 and steps and steps[-1][0] is rev:
             _, prev_r = steps.pop()
             pending = prev_r + q * a
         else:
-            steps.append((item, r))
+            steps.append((own, r))
             pending = q * a
             if len(steps) > reach:
                 reach = len(steps)
@@ -934,31 +929,20 @@ def _ball_walk(
     steps and x, so d(x, s x) = |x| + |steps| - 2 common. A child
     x + ((c, r),) resumes each of its parent's states over Pow(tip, r) and c:
     pending += r, then one push or one pop, and at most one step comparison
-    updates the common prefix. Every crossing is the index's own object (the
-    roots' steps are mapped onto them), so crossings compare by identity."""
+    updates the common prefix. The moves are the index's, and the roots
+    come from _normalize_steps, so every crossing is the index's own object
+    and crossings compare by identity."""
     departing = g.index.departing
-    own = {(c.edge, c.sign): c for cs in departing.values() for c in cs}
-    states = [
-        ([(own[c.edge, c.sign], r) for c, r in steps], pending, 0)
-        for steps, pending in roots
-    ]
+    states = [(steps, pending, 0) for steps, pending in roots]
     yield (), states
-    # per tip: (crossing, its reverse, arrival, departure label, arrival
-    # label, |departure label|) of each move
-    moves: dict[str, list[tuple[Cross, Cross, str, int, int, int]]] = {}
     count = 1
     # (vertex, tip vertex, crossing back to the parent, states)
     frontier = [((), base, None, states)]
     for k in range(radius):  # k = |parent|
         nxt = []
         for p, tip, back, states in frontier:
-            table = moves.get(tip)
-            if table is None:
-                table = moves[tip] = []
-                for c in departing[tip]:
-                    rev, d = own[c.edge, -c.sign], _dep_label(g, c)
-                    table.append((c, rev, _arr_vertex(g, c), d, _dep_label(g, rev), abs(d)))
-            for c, rev, arrival, d, a, ad in table:
+            for c, rev, _, arrival, d, a in departing[tip]:
+                ad = abs(d)
                 # (back, 0) is the parent vertex
                 for r in range(1 if c is back else 0, ad):
                     child_states = []
@@ -1064,6 +1048,10 @@ def sample_words(
     g: LabeledGraph, count: int, max_len: int, seed: int
 ) -> list[GroupWord]:
     require_nonnegative("sampled word count", count)
+    if not isinstance(max_len, int):
+        raise SemanticError(
+            f"sampled words need an integer length bound, got {clipped(repr(max_len), str)}"
+        )
     if max_len < 1:
         raise SemanticError(f"sampled words need a length bound >= 1, got {int_text(max_len)}")
     g = validate_graph(g)

@@ -29,6 +29,7 @@ from .errors import (
     InvalidOrbifold,
     NotHyperbolic,
     SemanticError,
+    clipped,
     int_text,
     require_nonnegative,
 )
@@ -194,6 +195,8 @@ def _validate_circle(c: BoundaryCircle) -> Optional[BoundaryCircle]:
         if a == M and b == M:
             if r is None:
                 raise InvalidCircle("mirror-mirror adjacency without a corner order")
+            if not isinstance(r, int):
+                raise InvalidCircle(f"corner order {clipped(repr(r), str)} is not an integer")
             if r < 2:
                 raise CornerOrderTooSmall(f"corner order {r} < 2")
         elif r is not None:
@@ -202,8 +205,14 @@ def _validate_circle(c: BoundaryCircle) -> Optional[BoundaryCircle]:
 
 
 def _check_surface(o: Orbifold2) -> None:
-    """The underlying surface exists: the genus is not negative, and a
-    non-orientable surface has at least one cross-cap."""
+    """The genus and cone orders are integers, and the underlying surface
+    exists: the genus is not negative, and a non-orientable surface has at
+    least one cross-cap."""
+    if not isinstance(o.genus, int):
+        raise InvalidOrbifold(f"genus {clipped(repr(o.genus), str)} is not an integer")
+    for q in o.cone_points:
+        if not isinstance(q, int):
+            raise InvalidOrbifold(f"cone order {clipped(repr(q), str)} is not an integer")
     if o.genus < 0:
         raise InvalidOrbifold("negative genus")
     if not o.orientable and o.genus < 1:

@@ -73,7 +73,7 @@ class TestGraphIndex:
         assert repr(bare) == repr(m3)
 
     def test_departing_in_edge_order(self, m3):
-        assert m3.index.departing["u"] == (
+        assert tuple(m[0] for m in m3.index.departing["u"]) == (
             Cross("e", 1), Cross("e", -1), Cross("f", 1),
         )
 
@@ -527,6 +527,25 @@ class TestJsjReport:
         assert rep.values["edges_after_reduction"] == "0"
 
 
+@pytest.mark.parametrize(
+    "letters, shown",
+    [
+        ([5], "malformed letter 5;"),
+        ([("a", "v", 1), ("t", "e")], "malformed letter ('t', 'e');"),
+        ([("t", "e", 1, 1)], "malformed letter ('t', 'e', 1, 1);"),
+        ([("a", ["v"], 1)], "malformed letter ('a', ['v'], 1);"),
+        (None, "malformed letter None;"),
+        ([("t", "e" * 50)], "malformed letter ('t', 'eeeeeeeeeeeee... (59 chars);"),
+    ],
+)
+def test_make_word_malformed_letter(letters, shown):
+    # the error names the letter that is not a (kind, name, exponent)
+    # triple, clipped, or the letters when they cannot be iterated
+    with pytest.raises(InvalidPath) as got:
+        sp.make_word(sp.bs(2, 3), letters)
+    assert str(got.value).startswith(shown)
+
+
 def _squarefree(L):
     m = ta.master(make_m3())
     return ta.squarefree_witnesses(m, ta.collapse(m, ("e", "ep", "f")), L)
@@ -544,6 +563,12 @@ BAD_ARGUMENTS = [
     ("word item not a Pow or Cross", lambda: sp.validate_word(sp.bs(1, 2), GroupWord("v", ("x",)))),
     ("string exponent", lambda: W(sp.bs(1, 2), ("a", "v", "2"))),
     ("float crossing exponent", lambda: W(sp.bs(1, 2), ("t", "e", 1.0))),
+    ("oracle radius 2.5", lambda: gbs.ball_displacement_oracle(
+        sp.bs(2, 3), W(sp.bs(2, 3), ("t", "e", 1)), 2.5)),
+    ("irreducibility L 1.5", lambda: gbs.irreducibility_witness(sp.bs(2, 3), 1.5)),
+    ("sampled word count 2.0", lambda: gbs.sample_words(sp.bs(2, 3), 2.0, 3, 0)),
+    ("census budget '3'", lambda: sp.enumerate_orbifolds("3")),
+    ("sampled word length 2.5", lambda: gbs.sample_words(sp.bs(2, 3), 1, 2.5, 0)),
 ]
 
 

@@ -71,6 +71,25 @@ class TestValidation:
             sp.euler_characteristic(o)
         assert str(got.value) == str(expected.value)
 
+    @pytest.mark.parametrize(
+        "o, error",
+        [
+            (Orbifold2(True, 1.5, ()), InvalidOrbifold),
+            (Orbifold2(False, "1", ()), InvalidOrbifold),
+            (Orbifold2(True, 0, (2, "3", 7)), InvalidOrbifold),
+            (Orbifold2(True, 0, (), (mixed((M, M), ("2", 3)),)), InvalidCircle),
+            (Orbifold2(True, 0, (), (mixed((M, M, B), (2.0, None, None)),)), InvalidCircle),
+        ],
+    )
+    def test_numbers_must_be_integers(self, o, error):
+        with pytest.raises(error, match="is not an integer"):
+            sp.validate(o)
+
+    @pytest.mark.parametrize("o", [Orbifold2(True, 0.5, ()), Orbifold2(True, 0, (2, "3"))])
+    def test_euler_characteristic_needs_integers(self, o):
+        with pytest.raises(InvalidOrbifold, match="is not an integer"):
+            sp.euler_characteristic(o)
+
     def test_mirror_adjacency_needs_corner(self):
         with pytest.raises(InvalidCircle):
             orb(circles=(mixed((M, M)),))

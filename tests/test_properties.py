@@ -96,6 +96,24 @@ def graph_with_words(draw, count):
     return g, [sp.make_word(g, tuple(draw(letters_for(g)))) for _ in range(count)]
 
 
+@given(gbs_graphs())
+def test_move_table_matches_edges(g):
+    moves = g.index.moves
+    assert list(moves) == [e.id for e in g.edges]
+    for e in g.edges:
+        forward, backward = moves[e.id]
+        assert forward[0] == Cross(e.id, 1) and backward[0] == Cross(e.id, -1)
+        assert forward[2:] == (e.origin, e.terminus, e.lam, e.mu)
+        assert backward[2:] == (e.terminus, e.origin, e.mu, e.lam)
+        # each move's reverse is the other move's own crossing object
+        assert forward[1] is backward[0] and backward[1] is forward[0]
+    for v in g.vertices:
+        leaving = [m for e in g.edges for m in moves[e.id] if m[2] == v]
+        departing = g.index.departing[v]
+        assert len(departing) == len(leaving)
+        assert all(a is b for a, b in zip(departing, leaving))
+
+
 def routed_word(g, letters, base=None):
     # make_word without its per-call memo: every letter routed through the
     # spanning tree anew

@@ -84,6 +84,18 @@ def test_census_rows_match_each_budget():
         assert row["finite_mcg"] == sum(sp.has_finite_mcg(o).finite for o in hyperbolic)
 
 
+def test_bench_trace_names_resolve():
+    # bench/run.py --trace 1 rebinds every (owner, attr) of TRACED; a
+    # renamed or removed function must fail here, not only in a traced run
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for owner, attr, name in tracing.TRACED:
+        assert callable(getattr(owner, attr, None)), name
+
+
 def test_module_entry_point():
     # python -m splittings is the console script, without runpy's warning
     # about re-running an already imported splittings.cli_io
