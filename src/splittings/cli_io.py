@@ -43,7 +43,7 @@ from .errors import (
     SplittingsError,
     clipped,
 )
-from .report import TOOL_NAME, Report, digest, envelope, rational_str
+from .report import TOOL_NAME, Report, digest, envelope, json_text, rational_str
 
 Letters = tuple[tuple, ...]
 
@@ -522,12 +522,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self.format_usage())
 
 
-def _read_document(path: str) -> tuple[Document, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse(text), text
-
-
 def _want(doc: Document, kinds: tuple[str, ...]) -> None:
     if doc.kind not in kinds:
         raise SemanticError(
@@ -540,17 +534,6 @@ def _named_word(spec, wtext: str, g: gbs.LabeledGraph) -> gbs.GroupWord:
         if wname == wtext:
             return gbs.make_word(g, letters)
     return gbs.make_word(g, parse_letters(wtext))
-
-
-def _print_report(rep: Report, as_json: bool, out: TextIO) -> None:
-    if as_json:
-        out.write(rep.to_json())
-        return
-    for v in rep.verdicts:
-        tag = " (informational)" if v.informational else ""
-        out.write(f"{v.key}: {v.value}{tag}\n")
-    for k in sorted(rep.values):
-        out.write(f"{k} = {rep.values[k]}\n")
 
 
 def _verdict_fields(o: orbifold.Orbifold2) -> tuple[dict, Optional[str]]:
@@ -570,13 +553,11 @@ def _verdict_fields(o: orbifold.Orbifold2) -> tuple[dict, Optional[str]]:
     return fields, mv.note
 
 
-def _cmd_orbifold_analyze(args, out: TextIO) -> int:
-    doc, text = _read_document(args.file)
-    _want(doc, ("orbifold",))
+def _cmd_orbifold_analyze(args, doc: Document, input_digest: str):
     o: orbifold.Orbifold2 = doc.payload
     fields, note = _verdict_fields(o)
     result: dict = {
-        **envelope("orbifold.analyze", digest(text)),
+        **envelope("orbifold.analyze", input_digest),
         "boundary_components": orbifold.boundary_components(o),
         "small": None,
         "small_family": None,
@@ -588,22 +569,21 @@ def _cmd_orbifold_analyze(args, out: TextIO) -> int:
         result["mcg_note"] = note
     hyp = result["hyperbolic"]
     if args.json:
-        out.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
+        yield json_text(result)
     else:
-        out.write(f"chi = {result['chi']}\n")
-        out.write(f"hyperbolic = {str(hyp).lower()}\n")
+        yield f"chi = {result['chi']}\n"
+        yield f"hyperbolic = {str(hyp).lower()}\n"
         if hyp:
-            out.write(f"small = {str(result['small']).lower()}")
+            yield f"small = {str(result['small']).lower()}"
             if result["small_family"]:
-                out.write(f" (family {result['small_family']})")
-            out.write("\n")
-            out.write(f"finite_mcg = {str(result['finite_mcg']).lower()}")
+                yield f" (family {result['small_family']})"
+            yield "\n"
+            yield f"finite_mcg = {str(result['finite_mcg']).lower()}"
             if result["mcg_family"]:
-                out.write(f" ({result['mcg_family']})")
-            out.write("\n")
+                yield f" ({result['mcg_family']})"
+            yield "\n"
         for bc in result["boundary_components"]:
-            out.write(f"boundary: {bc['kind']} ({bc['group']})\n")
-    return 0
+            yield f"boundary: {bc['kind']} ({bc['group']})\n"
 
 
 def _census_json_list(items) -> str:
@@ -656,22 +636,21 @@ def _census_text_row(orientable, genus, cone, circles, chi, verdict) -> str:
 
 def _census_json_ends(args, count: int) -> tuple[str, str]:
     """The census document around its rows: the envelope keys, budget and
-    count, laid out by json.dumps(..., sort_keys=True, indent=2)."""
+    count, laid out by json_text."""
     ends = {
         **envelope("orbifold.enumerate", digest(f"budget={args.budget}")),
         "budget": args.budget,
         "count": count,
         "orbifolds": [],
     }
-    text = json.dumps(ends, sort_keys=True, indent=2)
-    head, key, tail = text.partition('"orbifolds": []')
+    head, key, tail = json_text(ends).partition('"orbifolds": []')
     if not count:
-        return head + key, tail + "\n"
-    return head + '"orbifolds": [\n', "\n  ]" + tail + "\n"
+        return head + key, tail
+    return head + '"orbifolds": [\n', "\n  ]" + tail
 
 
-def _cmd_orbifold_enumerate(args, out: TextIO) -> int:
-    """Write each census row as it is made. The text of each cone and
+def _cmd_orbifold_enumerate(args, doc: None, input_digest: None):
+    """Yield each census row as it is made. The text of each cone and
     circle multiset is built once, and that of a verdict once per key that
     the census memoizes it on."""
     if args.json:
@@ -688,25 +667,22 @@ def _cmd_orbifold_enumerate(args, out: TextIO) -> int:
         cones = [" cone=" + ",".join(map(str, c)) if c else "" for c in census.cones]
         circles = ["".join(f" circle[{_circle_text(c)}]" for c in q) for q in census.circles]
         row, sep = _census_text_row, ""
-    out.write(head)
+    yield head
     lead = ""
     for orientable, genus, i, j, n, d, verdict in census.rows:
         chi = str(n) if d == 1 else f"{n}/{d}"
-        out.write(lead + row(orientable, genus, cones[i], circles[j], chi, verdict))
+        yield lead + row(orientable, genus, cones[i], circles[j], chi, verdict)
         lead = sep
-    out.write(tail)
-    return 0
+    yield tail
 
 
-def _cmd_gbs_length(args, out: TextIO) -> int:
-    doc, text = _read_document(args.file)
-    _want(doc, ("gbs", "master"))
+def _cmd_gbs_length(args, doc: Document, input_digest: str):
     spec = doc.payload
     g = spec.graph
     w = _named_word(spec, args.word, g)
     seq = gbs.crossing_sequence(g, w)
     length = len(seq)
-    rep = Report(operation="gbs.length", input_digest=digest(text))
+    rep = Report(operation="gbs.length", input_digest=input_digest)
     rep.values["word"] = args.word
     rep.values["length"] = str(length)
     rep.values["crossing_sequence"] = ",".join(seq)
@@ -730,23 +706,17 @@ def _cmd_gbs_length(args, out: TextIO) -> int:
                 f"oracle value {res.value} disagrees with Britton length {length}"
             )
         rep.add("ball_displacement_oracle", "oracle_agreement", "agrees")
-    _print_report(rep, args.json, out)
-    return 0
+    yield rep.to_json() if args.json else rep.to_text()
 
 
-def _cmd_gbs_report(args, out: TextIO) -> int:
-    doc, text = _read_document(args.file)
-    _want(doc, ("gbs", "master"))
+def _cmd_gbs_report(args, doc: Document, input_digest: str):
     g = doc.payload.graph
     rep = gbs.jsj_report(g)
-    rep.input_digest = digest(text)
-    _print_report(rep, args.json, out)
-    return 0
+    rep.input_digest = input_digest
+    yield rep.to_json() if args.json else rep.to_text()
 
 
-def _cmd_lattice_verify(args, out: TextIO) -> int:
-    doc, text = _read_document(args.file)
-    _want(doc, ("master",))
+def _cmd_lattice_verify(args, doc: Document, input_digest: str):
     spec: GbsSpec = doc.payload
     m = tree_arithmetic.master(spec.graph)
     if not spec.keeps and len(m.orbits) > LATTICE_MAX_EDGES:
@@ -762,7 +732,7 @@ def _cmd_lattice_verify(args, out: TextIO) -> int:
         subsets = [[o for i, o in enumerate(m.orbits) if mask >> i & 1] for mask in masks]
         keeps = [("{" + ",".join(kept) + "}", kept) for kept in subsets]
     collapses = [tree_arithmetic.collapse(m, ids) for _, ids in keeps]
-    rep = Report(operation="lattice.verify", input_digest=digest(text), seed=args.seed)
+    rep = Report(operation="lattice.verify", input_digest=input_digest, seed=args.seed)
     rep.values["words"] = str(len(words))
     rep.values["maxlen"] = str(args.maxlen)
     rep.values["collapses"] = str(len(collapses))
@@ -773,10 +743,9 @@ def _cmd_lattice_verify(args, out: TextIO) -> int:
     rep.values["failures"] = str(len(failed))
     verdict = "FAILED" if failed else "holds on all sampled words"
     rep.add("verify_modularity", "modularity", verdict)
-    _print_report(rep, args.json, out)
+    yield rep.to_json() if args.json else rep.to_text()
     if failed:
         raise IdentityViolation("length-function modularity failed")
-    return 0
 
 
 def _quotient_json(q: cyl.QuotientGraph) -> dict:
@@ -791,50 +760,45 @@ def _quotient_json(q: cyl.QuotientGraph) -> dict:
     }
 
 
-def _cmd_cylinders_quotient(args, out: TextIO) -> int:
-    doc, text = _read_document(args.file)
-    _want(doc, ("atlas",))
+def _cmd_cylinders_quotient(args, doc: Document, input_digest: str):
     spec: AtlasSpec = doc.payload
     q = cyl._quotient(spec.skeleton, spec.atlas)
     collapsed = cyl.collapse_non_A(q) if args.collapse else None
     if args.json:
         obj = {
-            **envelope("cylinders.quotient", digest(text)),
+            **envelope("cylinders.quotient", input_digest),
             "hypotheses": spec.hypotheses,
             "quotient": _quotient_json(q),
         }
         if collapsed is not None:
             obj["collapsed"] = _quotient_json(collapsed)
-        out.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        yield json_text(obj)
     else:
         shown = collapsed if collapsed is not None else q
-        out.write("V0: " + " ".join(shown.v0) + "\n")
-        out.write(
+        yield "V0: " + " ".join(shown.v0) + "\n"
+        yield (
             "V1: " + " ".join(f"{yid}({label})" for yid, label in shown.v1) + "\n"
         )
         for e in shown.edges:
-            out.write(f"edge: {e.v0} -[{e.local_class}]- {e.cyl}\n")
+            yield f"edge: {e.v0} -[{e.local_class}]- {e.cyl}\n"
         for v, y in shown.absorbed:
-            out.write(f"absorbed: {v} -> {y}\n")
-    return 0
+            yield f"absorbed: {v} -> {y}\n"
 
 
-def _cmd_export_dot(args, out: TextIO) -> int:
-    doc, _ = _read_document(args.file)
+def _cmd_export_dot(args, doc: Document, input_digest: str):
     if doc.kind in ("gbs", "master"):
-        out.write(export_dot(doc.payload.graph))
-        return 0
-    if doc.kind == "atlas":
+        yield export_dot(doc.payload.graph)
+    elif doc.kind == "atlas":
         spec: AtlasSpec = doc.payload
         if args.skeleton:
-            out.write(export_dot(spec.skeleton))
-            return 0
-        q = cyl._quotient(spec.skeleton, spec.atlas)
-        if args.collapse:
-            q = cyl.collapse_non_A(q)
-        out.write(export_dot(q))
-        return 0
-    raise SemanticError(f"no graph to export in a {doc.kind!r} document")
+            yield export_dot(spec.skeleton)
+        else:
+            q = cyl._quotient(spec.skeleton, spec.atlas)
+            if args.collapse:
+                q = cyl.collapse_non_A(q)
+            yield export_dot(q)
+    else:
+        raise SemanticError(f"no graph to export in a {doc.kind!r} document")
 
 
 def _int_flag(low: Optional[int] = None, cap: Optional[tuple[str, int]] = None):
@@ -866,7 +830,7 @@ def _build_parser() -> _Parser:
     a = orb.add_parser("analyze")
     a.add_argument("file")
     a.add_argument("--json", action="store_true")
-    a.set_defaults(func=_cmd_orbifold_analyze)
+    a.set_defaults(func=_cmd_orbifold_analyze, kinds=("orbifold",))
     e = orb.add_parser("enumerate")
     e.add_argument("--budget", type=_int_flag(0), required=True)
     e.add_argument("--json", action="store_true")
@@ -878,11 +842,11 @@ def _build_parser() -> _Parser:
     ln.add_argument("--word", required=True)
     ln.add_argument("--oracle", type=_int_flag(0), default=None, metavar="R")
     ln.add_argument("--json", action="store_true")
-    ln.set_defaults(func=_cmd_gbs_length)
+    ln.set_defaults(func=_cmd_gbs_length, kinds=("gbs", "master"))
     rp = gb.add_parser("report")
     rp.add_argument("file")
     rp.add_argument("--json", action="store_true")
-    rp.set_defaults(func=_cmd_gbs_report)
+    rp.set_defaults(func=_cmd_gbs_report, kinds=("gbs", "master"))
 
     lat = sub.add_parser("lattice").add_subparsers(dest="sub", required=True)
     lv = lat.add_parser("verify")
@@ -896,21 +860,21 @@ def _build_parser() -> _Parser:
     )
     lv.add_argument("--json", action="store_true")
     lv.add_argument("--seed", type=_int_flag(), default=0)
-    lv.set_defaults(func=_cmd_lattice_verify)
+    lv.set_defaults(func=_cmd_lattice_verify, kinds=("master",))
 
     cy = sub.add_parser("cylinders").add_subparsers(dest="sub", required=True)
     cq = cy.add_parser("quotient")
     cq.add_argument("file")
     cq.add_argument("--collapse", action="store_true")
     cq.add_argument("--json", action="store_true")
-    cq.set_defaults(func=_cmd_cylinders_quotient)
+    cq.set_defaults(func=_cmd_cylinders_quotient, kinds=("atlas",))
 
     ex = sub.add_parser("export").add_subparsers(dest="sub", required=True)
     ed = ex.add_parser("dot")
     ed.add_argument("file")
     ed.add_argument("--collapse", action="store_true")
     ed.add_argument("--skeleton", action="store_true")
-    ed.set_defaults(func=_cmd_export_dot)
+    ed.set_defaults(func=_cmd_export_dot, kinds=())
     return p
 
 
@@ -920,22 +884,30 @@ def run(
     stderr: Optional[TextIO] = None,
 ) -> int:
     """Execute one command; returns the exit code (0 ok, 1 input error,
-    2 identity violation)."""
+    2 identity violation). A command that names a file has it read, parsed,
+    checked for kind and hashed here, once; the command computes and yields
+    its output, which is written as it comes."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
         args = _build_parser().parse_args(list(argv))
-        return args.func(args, out)
+        doc = input_digest = None
+        if "file" in args:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+            doc = parse(text)
+            if args.kinds:
+                _want(doc, args.kinds)
+            input_digest = digest(text)
+        out.writelines(args.func(args, doc, input_digest))
+        return 0
     except _UsageError as exc:
         err.write(f"error: {exc}\n{exc.usage}")
         return 1
     except IdentityViolation as exc:
         err.write(f"identity violation (bug): {exc}\n")
         return 2
-    except SplittingsError as exc:
-        err.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (SplittingsError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 1
 

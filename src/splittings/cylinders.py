@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Optional
 
 from .errors import Disconnected, MissingFlag, SemanticError, UnclassedEnd
 
@@ -231,23 +231,16 @@ def _quotient(s: SkeletonGraph, a: CylinderAtlas) -> QuotientGraph:
     return QuotientGraph(tuple(v0), tuple(v1), tuple(edges), tuple(absorbed))
 
 
-def collapse_non_A(
-    q: QuotientGraph, flags: Optional[Mapping[tuple[str, str], bool]] = None
-) -> QuotientGraph:
+def collapse_non_A(q: QuotientGraph) -> QuotientGraph:
     """Contract the quotient edges whose stabilizer is not in the admitted
-    family; a merged vertex is V1 when any member was. flags (keyed by
-    (v0, local class)) override the atlas flags carried on the edges."""
-    def flag_of(e: QEdge) -> bool:
-        if flags is not None and (e.v0, e.local_class) in flags:
-            return flags[(e.v0, e.local_class)]
-        if e.in_A is None:
-            raise MissingFlag(f"edge ({e.v0}, {e.local_class}) has no in_A flag")
-        return e.in_A
-
+    family, as the atlas flags carried on the edges say; a merged vertex is
+    V1 when any member was."""
     keep: list[QEdge] = []
     contracted = []
     for e in q.edges:
-        if flag_of(e):
+        if e.in_A is None:
+            raise MissingFlag(f"edge ({e.v0}, {e.local_class}) has no in_A flag")
+        if e.in_A:
             keep.append(e)
         else:
             contracted.append((("V0", e.v0), ("V1", e.cyl)))

@@ -284,14 +284,26 @@ def power(w: GroupWord, n: int) -> GroupWord:
 
 # surface letters: ("a", vertex, exponent) and ("t", edge, +-1)
 
+def _is_vertex(g: LabeledGraph, v) -> bool:
+    """Whether v names a vertex of the indexed graph g; an unhashable v
+    names none."""
+    try:
+        return v in g.index.depth
+    except TypeError:
+        return False
+
+
 def tree_path(g: LabeledGraph, frm: str, to: str) -> list[Cross]:
     """Crossings along the spanning tree from one vertex to another: up from
     frm to the lowest common ancestor, then down to `to`."""
     g = validate_graph(g)
     parent, depth = g.index.parent, g.index.depth
-    for v in (frm, to):
-        if v not in depth:
-            raise InvalidPath(f"unknown vertex {v!r}")
+    try:
+        for v in (frm, to):
+            if v not in depth:
+                raise InvalidPath(f"unknown vertex {v!r}")
+    except TypeError:  # an unhashable v names no vertex
+        raise InvalidPath(f"unknown vertex {v!r}") from None
     ups: list[Cross] = []
     downs: list[Cross] = []
     while depth[frm] > depth[to]:
@@ -363,7 +375,7 @@ def make_word(g: LabeledGraph, letters: Iterable[tuple], base: Optional[str] = N
             " (kind, name, exponent) triples"
         ) from None
     # routes are closed paths at b, so only the base itself can be wrong
-    if b not in g.index.depth:
+    if not _is_vertex(g, b):
         raise InvalidPath(f"base {b!r} is not a vertex")
     return GroupWord(b, tuple(items))
 
@@ -393,7 +405,7 @@ def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross],
     and the path closes up at the base. It pushes the index's own crossings,
     so a pinch is the top crossing being the reverse of the item's."""
     moves = g.index.moves
-    if w.base not in g.index.depth:
+    if not _is_vertex(g, w.base):
         raise InvalidPath(f"base {w.base!r} is not a vertex")
     out: list[tuple[Optional[Cross], int, str]] = []
     c, p, v = None, 0, w.base
@@ -1027,26 +1039,11 @@ def ball_displacement_oracle(g: LabeledGraph, w: GroupWord, radius: int) -> Orac
 
 # -- seeded word sampling ------------------------------------------------------------
 
-def random_letter_word(g: LabeledGraph, rng: random.Random, max_len: int) -> list[tuple]:
-    """A random surface-letter word of length 1..max_len: vertex powers with
-    exponents in [-3, 3] minus zero, or edge crossings."""
-    g = g if g.base is not None else validate_graph(g)
-    length = rng.randint(1, max_len)
-    letters = []
-    for _ in range(length):
-        if g.edges and rng.random() < 0.5:
-            e = rng.choice(g.edges)
-            letters.append(("t", e.id, rng.choice((1, -1))))
-        else:
-            v = rng.choice(g.vertices)
-            n = rng.choice((-3, -2, -1, 1, 2, 3))
-            letters.append(("a", v, n))
-    return letters
-
-
 def sample_words(
     g: LabeledGraph, count: int, max_len: int, seed: int
 ) -> list[GroupWord]:
+    """count random words of 1..max_len surface letters each: vertex powers
+    with exponents in [-3, 3] minus zero, or edge crossings."""
     require_nonnegative("sampled word count", count)
     if not isinstance(max_len, int):
         raise SemanticError(
@@ -1056,6 +1053,16 @@ def sample_words(
         raise SemanticError(f"sampled words need a length bound >= 1, got {int_text(max_len)}")
     g = validate_graph(g)
     rng = random.Random(seed)
-    return [
-        make_word(g, random_letter_word(g, rng, max_len)) for _ in range(count)
-    ]
+    words = []
+    for _ in range(count):
+        letters = []
+        for _ in range(rng.randint(1, max_len)):
+            if g.edges and rng.random() < 0.5:
+                e = rng.choice(g.edges)
+                letters.append(("t", e.id, rng.choice((1, -1))))
+            else:
+                v = rng.choice(g.vertices)
+                n = rng.choice((-3, -2, -1, 1, 2, 3))
+                letters.append(("a", v, n))
+        words.append(make_word(g, letters))
+    return words

@@ -3,6 +3,7 @@
 Every verdict records the operation that produced it. Exact rationals are
 serialized as "p/q" strings in lowest terms; nothing in a report depends on
 wall-clock time, so identical inputs (and seed) give byte-identical JSON.
+json_text is the one layout of a whole JSON document.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ def rational_str(x: Fraction | int) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def digest(text: str) -> str:
@@ -86,4 +91,14 @@ class Report:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_dict())
+
+    def to_text(self) -> str:
+        """One line per verdict, then one per value in key order."""
+        lines = []
+        for v in self.verdicts:
+            tag = " (informational)" if v.informational else ""
+            lines.append(f"{v.key}: {v.value}{tag}\n")
+        for k in sorted(self.values):
+            lines.append(f"{k} = {self.values[k]}\n")
+        return "".join(lines)

@@ -310,10 +310,10 @@ class TestRun:
         assert "error" in err
 
     def test_identity_violation_exit_2(self, monkeypatch, tmp_path):
-        def boom(args, out):
+        def boom(g):
             raise IdentityViolation("forced")
 
-        monkeypatch.setattr(cli_io, "_cmd_gbs_report", boom)
+        monkeypatch.setattr(sp.gbs, "jsj_report", boom)
         code, _, err = run("gbs", "report", str(INPUTS / "bs23.txt"))
         assert code == 2
         assert "bug" in err
@@ -324,6 +324,58 @@ class TestRun:
         code, _, err = run("gbs", "report", str(p))
         assert code == 1
         assert "line 2" in err
+
+
+class TestCommandPath:
+    """run reads and parses each command's file once; the command only
+    computes from the parsed document."""
+
+    @pytest.mark.parametrize(
+        "argv, reads",
+        [
+            (("orbifold", "analyze", "pants.txt"), 1),
+            (("orbifold", "enumerate", "--budget", "2"), 0),
+            (("gbs", "length", "bs23.txt", "--word", "atat", "--oracle", "4"), 1),
+            (("gbs", "report", "bs23.txt"), 1),
+            (("lattice", "verify", "m3.txt", "--words", "5"), 1),
+            (("cylinders", "quotient", "torus_cycle.txt", "--collapse"), 1),
+            (("export", "dot", "torus_cycle.txt", "--collapse"), 1),
+        ],
+        ids=lambda a: " ".join(a[:2]) if isinstance(a, tuple) else None,
+    )
+    def test_one_read_and_one_parse(self, argv, reads, monkeypatch):
+        argv = [str(INPUTS / a) if a.endswith(".txt") else a for a in argv]
+        opened, parsed = [], []
+        real_open, real_parse = open, cli_io.parse
+
+        def counted_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        def counted_parse(text):
+            parsed.append(text)
+            return real_parse(text)
+
+        monkeypatch.setattr("builtins.open", counted_open)
+        monkeypatch.setattr(cli_io, "parse", counted_parse)
+        code, out, err = run(*argv)
+        monkeypatch.undo()
+        assert (code, err) == (0, "") and out
+        assert len([f for f in opened if str(f) in argv]) == reads
+        assert len(parsed) == reads
+
+    def test_census_rows_stream(self):
+        writes = []
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        assert cli_io.run(["orbifold", "enumerate", "--budget", "3"], stdout=Sink()) == 0
+        # the count line, one write per row as it is made (59), the empty tail
+        assert len(writes) == 1 + 59 + 1
+        assert all(w.count("\n") == 1 for w in writes[:-1])
 
 
 class TestHostileInput:

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -251,8 +252,11 @@ class TestCollapse:
     def test_one_false_edge_merges_leaf(self):
         s, a = torus_cycle()
         q = cyl.tree_of_cylinders_quotient(s, a)
-        flags = {("u1", "a"): False}
-        c = cyl.collapse_non_A(q, flags)
+        edges = tuple(
+            replace(e, in_A=False) if (e.v0, e.local_class) == ("u1", "a") else e
+            for e in q.edges
+        )
+        c = cyl.collapse_non_A(replace(q, edges=edges))
         assert len(c.edges) == 3
         merged = [yid for yid, _ in c.v1 if "u1" in yid and "Y1" in yid]
         assert len(merged) == 1
@@ -261,8 +265,8 @@ class TestCollapse:
     def test_all_false_single_vertex(self):
         s, a = torus_cycle()
         q = cyl.tree_of_cylinders_quotient(s, a)
-        flags = {(e.v0, e.local_class): False for e in q.edges}
-        c = cyl.collapse_non_A(q, flags)
+        edges = tuple(replace(e, in_A=False) for e in q.edges)
+        c = cyl.collapse_non_A(replace(q, edges=edges))
         assert c.edges == ()
         assert len(c.v0) + len(c.v1) == 1
 

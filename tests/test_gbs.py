@@ -154,6 +154,22 @@ class TestWords:
         with pytest.raises(InvalidPath, match="unknown vertex 'zz'"):
             sp.make_word(bs23, (("a", "v", 1),), base="zz")
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda g: sp.make_word(g, [], base=[1]), "base [1] is not a vertex"),
+            (lambda g: sp.make_word(g, [("a", "v", 1)], base=[1]), "unknown vertex [1]"),
+            (lambda g: sp.translation_length(g, GroupWord(["v"], ())),
+             "base ['v'] is not a vertex"),
+            (lambda g: gbs.tree_path(g, [1], "v"), "unknown vertex [1]"),
+        ],
+        ids=["make_word", "make_word letter", "translation_length", "tree_path"],
+    )
+    def test_unhashable_base_named(self, bs23, call, message):
+        with pytest.raises(InvalidPath) as info:
+            call(bs23)
+        assert str(info.value) == message
+
     def test_concat_inverse_power(self, bs23):
         t = W(bs23, ("t", "e", 1))
         a = W(bs23, ("a", "v", 1))
@@ -569,6 +585,10 @@ BAD_ARGUMENTS = [
     ("sampled word count 2.0", lambda: gbs.sample_words(sp.bs(2, 3), 2.0, 3, 0)),
     ("census budget '3'", lambda: sp.enumerate_orbifolds("3")),
     ("sampled word length 2.5", lambda: gbs.sample_words(sp.bs(2, 3), 1, 2.5, 0)),
+    ("unhashable base, no letters", lambda: sp.make_word(sp.bs(2, 3), [], base=[1])),
+    ("unhashable base, one letter", lambda: sp.make_word(sp.bs(2, 3), [("a", "v", 1)], base=[1])),
+    ("unhashable word base", lambda: sp.translation_length(sp.bs(2, 3), GroupWord(["v"], ()))),
+    ("unhashable tree path vertex", lambda: gbs.tree_path(sp.bs(2, 3), [1], "v")),
 ]
 
 
