@@ -28,6 +28,7 @@ mathematical self-check failed, which is always a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -822,6 +823,11 @@ def _int_flag(low: Optional[int] = None, cap: Optional[tuple[str, int]] = None):
     return parse
 
 
+# Built once per process and reused by every run call. This holds because
+# the parser keeps no per-call state: parse_args fills a fresh namespace and
+# never writes to the parser. The handlers are bound when it is first built,
+# so tests must patch the library functions a command calls, not _cmd_*.
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog=TOOL_NAME, description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -894,7 +900,13 @@ def run(
         doc = input_digest = None
         if "file" in args:
             with open(args.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                try:
+                    text = fh.read()
+                except UnicodeDecodeError as exc:  # one decode, so start is the file offset
+                    raise SplittingsError(
+                        f"byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+                        f" is not UTF-8 ({exc.reason})"
+                    ) from None
             doc = parse(text)
             if args.kinds:
                 _want(doc, args.kinds)

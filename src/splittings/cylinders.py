@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
-from .errors import Disconnected, MissingFlag, SemanticError, UnclassedEnd
+from .errors import Disconnected, MissingFlag, SemanticError, UnclassedEnd, clipped_name
 
 End = tuple[str, str]  # (edge orbit id, "o" | "t")
 
@@ -140,7 +140,7 @@ def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
     classed: dict[End, tuple[str, str]] = {}
     for c in a.classes:
         if c.vertex not in ends_at:
-            raise SemanticError(f"class at unknown vertex orbit {c.vertex!r}")
+            raise SemanticError(f"class at unknown vertex orbit {clipped_name(c.vertex)}")
         if not c.ends:
             raise SemanticError(f"class {c.vertex}.{c.name} has no ends")
         for end in c.ends:

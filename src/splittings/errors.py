@@ -18,6 +18,13 @@ def clipped(text: str, show=repr) -> str:
     return show(text) if len(text) <= 40 else f"{show(text[:20])}... ({len(text)} chars)"
 
 
+def clipped_name(name) -> str:
+    """repr(name) for an error message, clipped: a string as clipped() cuts
+    it, so a name of at most 40 characters is shown whole, and any other
+    value by the length of its repr."""
+    return clipped(name) if isinstance(name, str) else clipped(repr(name), str)
+
+
 def int_text(n: int) -> str:
     """n for an error message, clipped as clipped() cuts it; an integer past
     the interpreter's limit on digits has no decimal text and is named by

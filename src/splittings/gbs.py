@@ -40,6 +40,7 @@ from .errors import (
     SemanticError,
     ZeroLabel,
     clipped,
+    clipped_name,
     int_text,
     require_nonnegative,
 )
@@ -163,7 +164,7 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
         departing[e.terminus].append(backward)
     base = g.base if g.base is not None else min(g.vertices)
     if base not in departing:
-        raise SemanticError(f"base {base!r} is not a vertex")
+        raise SemanticError(f"base {clipped_name(base)} is not a vertex")
     # breadth-first spanning tree, edges taken in listed order
     reached = _breadth_first(base, departing, edges)
     if len(reached) != len(g.vertices):
@@ -301,9 +302,9 @@ def tree_path(g: LabeledGraph, frm: str, to: str) -> list[Cross]:
     try:
         for v in (frm, to):
             if v not in depth:
-                raise InvalidPath(f"unknown vertex {v!r}")
+                raise InvalidPath(f"unknown vertex {clipped_name(v)}")
     except TypeError:  # an unhashable v names no vertex
-        raise InvalidPath(f"unknown vertex {v!r}") from None
+        raise InvalidPath(f"unknown vertex {clipped_name(v)}") from None
     ups: list[Cross] = []
     downs: list[Cross] = []
     while depth[frm] > depth[to]:
@@ -330,7 +331,9 @@ def _letter_route(g: LabeledGraph, b: str, kind, name, k) -> list[Item]:
         raise InvalidPath(f"exponent must be an integer, got {clipped(repr(k), str)}")
     if kind == "a":
         if name not in g.index.depth:
-            raise InvalidPath(f"unknown vertex {name!r} in letter a[{name}]")
+            raise InvalidPath(
+                f"unknown vertex {clipped_name(name)} in letter a[{clipped(str(name), str)}]"
+            )
         if k == 0:
             return []
         route = tree_path(g, b, name)
@@ -376,7 +379,7 @@ def make_word(g: LabeledGraph, letters: Iterable[tuple], base: Optional[str] = N
         ) from None
     # routes are closed paths at b, so only the base itself can be wrong
     if not _is_vertex(g, b):
-        raise InvalidPath(f"base {b!r} is not a vertex")
+        raise InvalidPath(f"base {clipped_name(b)} is not a vertex")
     return GroupWord(b, tuple(items))
 
 
@@ -406,7 +409,7 @@ def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross],
     so a pinch is the top crossing being the reverse of the item's."""
     moves = g.index.moves
     if not _is_vertex(g, w.base):
-        raise InvalidPath(f"base {w.base!r} is not a vertex")
+        raise InvalidPath(f"base {clipped_name(w.base)} is not a vertex")
     out: list[tuple[Optional[Cross], int, str]] = []
     c, p, v = None, 0, w.base
     item = None

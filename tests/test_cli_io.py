@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -318,6 +319,22 @@ class TestRun:
         assert code == 2
         assert "bug" in err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\xff\xfe[gbs]\n", "byte 0xff at offset 0 is not UTF-8 (invalid start byte)"),
+            (b"[gbs]\nvertex v\xc3\n",
+             "byte 0xc3 at offset 14 is not UTF-8 (invalid continuation byte)"),
+            (b"#" * 20000 + b"\n[gbs]\nvertex \xe9",
+             "byte 0xe9 at offset 20014 is not UTF-8 (unexpected end of data)"),
+        ],
+        ids=["start", "line 2", "past 20000 bytes"],
+    )
+    def test_non_utf8_file_exit_1(self, data, message, tmp_path):
+        p = tmp_path / "bytes.txt"
+        p.write_bytes(data)
+        assert run("gbs", "report", str(p)) == (1, "", f"error: {message}\n")
+
     def test_syntax_error_exit_1(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("[gbs]\nedge broken\n")
@@ -376,6 +393,49 @@ class TestCommandPath:
         # the count line, one write per row as it is made (59), the empty tail
         assert len(writes) == 1 + 59 + 1
         assert all(w.count("\n") == 1 for w in writes[:-1])
+
+    def test_runs_in_one_process_are_independent(self, monkeypatch, tmp_path):
+        # the parser is built once per process, so no call may leave state
+        # in it that a later call reads
+        oracle = sp.gbs.ball_displacement_oracle
+        monkeypatch.setattr(
+            sp.gbs, "ball_displacement_oracle",
+            lambda g, w, r: dataclasses.replace(oracle(g, w, r), value=-1),
+        )
+        pants, bs23, m3 = (str(INPUTS / n) for n in ("pants.txt", "bs23.txt", "m3.txt"))
+        torus, tripods = str(INPUTS / "torus_cycle.txt"), str(INPUTS / "tripods.txt")
+        argvs = [
+            ("orbifold", "analyze", pants),
+            ("orbifold", "analyze", pants, "--json"),
+            ("orbifold", "enumerate", "--budget", "2"),
+            ("orbifold", "enumerate", "--budget", "2", "--json"),
+            ("gbs", "length", bs23, "--word", "atat"),
+            ("gbs", "length", bs23, "--word", "t[e] a[v]^2 t[e]^-1", "--json"),
+            ("gbs", "report", bs23),
+            ("gbs", "report", bs23, "--json"),
+            ("lattice", "verify", m3, "--json"),
+            ("lattice", "verify", m3, "--words", "7", "--maxlen", "3", "--seed", "4"),
+            ("cylinders", "quotient", torus, "--collapse"),
+            ("cylinders", "quotient", tripods, "--json"),
+            ("export", "dot", torus, "--skeleton"),
+            ("export", "dot", bs23),
+            ("gbs", "length", bs23, "--word", "atat", "--oracle", "x"),
+            ("gbs", "length", bs23),
+            ("lattice", "verify", m3, "--words", str(cli_io.LATTICE_MAX_WORDS + 1)),
+            ("frobnicate",),
+            ("gbs", "report", str(tmp_path / "missing.txt")),
+            ("gbs", "length", bs23, "--word", "atat", "--oracle", "4"),
+        ]
+        # each argv's first call has a parser of its own; every later call,
+        # forward and then reversed, shares one parser with all the others
+        first = {}
+        for argv in argvs:
+            cli_io._build_parser.cache_clear()
+            first[argv] = run(*argv)
+        assert sorted({code for code, _, _ in first.values()}) == [0, 1, 2]
+        for argv in argvs + argvs[::-1]:
+            assert run(*argv) == first[argv], argv
+        assert cli_io._build_parser() is cli_io._build_parser()
 
 
 class TestHostileInput:
@@ -572,12 +632,21 @@ class TestHostileInput:
 
     @pytest.mark.parametrize(
         "word, message",
-        [("a[zz]", "unknown vertex 'zz'"), ("t[nope]", "unknown edge 'nope'")],
+        [
+            ("a[zz]", "unknown vertex 'zz'"),
+            ("t[nope]", "unknown edge 'nope'"),
+            pytest.param(
+                "a[" + "z" * 300 + "]",
+                f"unknown vertex {'z' * 20!r}... (300 chars) in letter a[{'z' * 20}... (300 chars)]",
+                id="long-vertex",
+            ),
+        ],
     )
     def test_unknown_letter_names_exit_1(self, word, message):
         code, _, err = run("gbs", "length", str(INPUTS / "bs23.txt"), "--word", word)
         assert code == 1
         assert message in err
+        assert len(err.encode()) < 200
 
     @pytest.mark.parametrize(
         "word, message",

@@ -108,6 +108,13 @@ class TestValidateAtlas:
         with pytest.raises(SemanticError, match="class c.b has no ends"):
             cyl.validate_atlas(s, cyl.CylinderAtlas(a.classes + (empty,)))
 
+    def test_long_unknown_class_vertex_clipped(self):
+        s, a = tripods()
+        stray = cyl.LocalClass("q" * 300, "a", (("e1", "o"),), True, True)
+        with pytest.raises(SemanticError) as info:
+            cyl.validate_atlas(s, cyl.CylinderAtlas(a.classes + (stray,)))
+        assert str(info.value) == f"class at unknown vertex orbit {'q' * 20!r}... (300 chars)"
+
     def test_cylinder_style_vertex_id_is_reserved(self):
         # the quotient names cylinder orbits Y1, Y2, ...; a vertex Y1 with two
         # plural classes would print as an edge Y1 -[p]- Y1

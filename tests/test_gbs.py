@@ -17,6 +17,11 @@ from splittings.gbs import Cross, GroupWord, Pow
 from conftest import make_m3
 
 
+# a 300-character vertex name and how error messages show it
+LONG = "z" * 300
+LONG_SHOWN = f"{'z' * 20!r}... (300 chars)"
+
+
 def W(g, *letters):
     return sp.make_word(g, letters)
 
@@ -43,6 +48,12 @@ class TestValidateGraph:
                 sp.validate_graph(g)
             with pytest.raises(SemanticError, match="labels are nonzero integers"):
                 sp.jsj_report(g)
+
+    def test_long_base_clipped(self):
+        g = sp.LabeledGraph(("v",), (sp.Edge("e", "v", "v", 1, 2),), base=LONG)
+        with pytest.raises(SemanticError) as info:
+            sp.validate_graph(g)
+        assert str(info.value) == f"base {LONG_SHOWN} is not a vertex"
 
     def test_disconnected(self):
         with pytest.raises(Disconnected):
@@ -162,8 +173,16 @@ class TestWords:
             (lambda g: sp.translation_length(g, GroupWord(["v"], ())),
              "base ['v'] is not a vertex"),
             (lambda g: gbs.tree_path(g, [1], "v"), "unknown vertex [1]"),
+            (lambda g: sp.make_word(g, [], base=LONG), f"base {LONG_SHOWN} is not a vertex"),
+            (lambda g: sp.make_word(g, [("a", "v", 1)], base=LONG),
+             f"unknown vertex {LONG_SHOWN}"),
+            (lambda g: sp.translation_length(g, GroupWord(LONG, ())),
+             f"base {LONG_SHOWN} is not a vertex"),
+            (lambda g: gbs.tree_path(g, "v", LONG), f"unknown vertex {LONG_SHOWN}"),
         ],
-        ids=["make_word", "make_word letter", "translation_length", "tree_path"],
+        ids=["make_word", "make_word letter", "translation_length", "tree_path",
+             "long make_word", "long make_word letter", "long translation_length",
+             "long tree_path"],
     )
     def test_unhashable_base_named(self, bs23, call, message):
         with pytest.raises(InvalidPath) as info:
