@@ -49,14 +49,15 @@ from .report import TOOL_NAME, Report, digest, envelope, json_text, rational_str
 Letters = tuple[tuple, ...]
 
 # Without keep lines, lattice verify compares every pair of the 2^E
-# collapses, about 4^E/2 pairs of integer sums over the sampled words. With
-# the default flags E = 8 takes 0.4-0.5 s, E = 9 1.4-2.0 s and E = 10 about
-# 7 s (py3.11 on a 2-core Xeon); each edge costs ~3.5-4x.
+# collapses, about 4^E/2 pairs; a pair costs one union, one intersection
+# and two memo reads, and each kept set one length check over the sampled
+# words. With the default flags E = 8 takes 0.07-0.09 s, E = 9 0.3 s and
+# E = 10 about 0.7 s (py3.11 on a 2-core Xeon); each edge costs ~2.5-3x.
 LATTICE_MAX_EDGES = 9
 # The sampled words are built and normalized before any comparison, so
 # --words and --maxlen bound the work and memory with E. At both caps a
-# keep-less E = 9 loop master takes 15 s and a 32-vertex chain master with
-# 3 keeps 7 s and 56 MiB (same host); m3.txt takes 0.6 s.
+# keep-less E = 9 loop master takes 3.5 s and a 32-vertex cycle master with
+# 3 keeps 5 s and 133 MiB peak RSS (same host); m3.txt takes 0.6 s.
 LATTICE_MAX_WORDS = 1_000
 LATTICE_MAX_WORD_LENGTH = 200
 
@@ -126,13 +127,9 @@ def parse_letters(text: str, line: Optional[int] = None) -> Letters:
 
 
 def letters_text(letters: Letters) -> str:
-    toks = []
-    for kind, name, k in letters:
-        if k == 1:
-            toks.append(f"{kind}[{name}]")
-        else:
-            toks.append(f"{kind}[{name}]^{k}")
-    return " ".join(toks)
+    return " ".join(
+        f"{kind}[{name}]" + (f"^{k}" if k != 1 else "") for kind, name, k in letters
+    )
 
 
 def _split_kv(line_text: str, line: int) -> tuple[str, str]:
@@ -265,7 +262,7 @@ def _parse_graph(body, kind, name, comments) -> Document:
     for kname, ids in keeps:
         for eid in ids:
             if eid not in known:
-                raise SemanticError(f"keep {kname!r} names unknown edge {eid!r}")
+                raise SemanticError(f"keep {clipped(kname)} names unknown edge {clipped(eid)}")
     return Document(kind, GbsSpec(g, tuple(words), tuple(keeps)), name, comments)
 
 
@@ -484,9 +481,7 @@ def export_dot(g) -> str:
             lines.append(f'  "{v}";')
         for e in g.edges:
             lines.append(f'  "{e.origin}" -> "{e.terminus}" [label="{e.lam},{e.mu}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if isinstance(g, cyl.SkeletonGraph):
+    elif isinstance(g, cyl.SkeletonGraph):
         lines = ["graph G {"]
         for v in g.vertices:
             label = f"{v.id}\\n{_dot_text(v.group)}" if v.group else v.id
@@ -494,9 +489,7 @@ def export_dot(g) -> str:
         for e in g.edges:
             attr = f' [label="{_dot_text(e.group)}"]' if e.group else ""
             lines.append(f'  "{e.origin}" -- "{e.terminus}"{attr};')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if isinstance(g, cyl.QuotientGraph):
+    elif isinstance(g, cyl.QuotientGraph):
         lines = ["graph G {"]
         for v in g.v0:
             lines.append(f'  "{v}" [shape=circle];')
@@ -505,9 +498,10 @@ def export_dot(g) -> str:
             lines.append(f'  "{yid}" [shape=box, label="{text}"];')
         for e in g.edges:
             lines.append(f'  "{e.v0}" -- "{e.cyl}" [label="{e.local_class}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise SemanticError(f"cannot export {type(g).__name__} as DOT")
+    else:
+        raise SemanticError(f"cannot export {type(g).__name__} as DOT")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # -- commands --------------------------------------------------------------------

@@ -146,7 +146,8 @@ def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
         for end in c.ends:
             if vertex_of.get(end) != c.vertex:
                 raise SemanticError(
-                    f"end {end} is not incident to vertex orbit {c.vertex!r}"
+                    f"end {clipped_name(end)} is not incident to vertex orbit"
+                    f" {clipped_name(c.vertex)}"
                 )
             if end in classed:
                 raise SemanticError(f"end {end} classed twice")
@@ -156,11 +157,13 @@ def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
     for v, ends in ends_at.items():
         for end in ends:
             if end not in classed:
-                raise UnclassedEnd(f"end {end} at {v!r} belongs to no local class")
+                raise UnclassedEnd(
+                    f"end {clipped_name(end)} at {clipped_name(v)} belongs to no local class"
+                )
     known_edges = {e.id for e in s.edges}
     for eid, _ in a.stabilizers:
         if eid not in known_edges:
-            raise SemanticError(f"stabilizer label for unknown edge orbit {eid!r}")
+            raise SemanticError(f"stabilizer label for unknown edge orbit {clipped_name(eid)}")
     if not s.edges:
         return []  # no relation encoded, nothing to assume
     return [

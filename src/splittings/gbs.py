@@ -79,7 +79,7 @@ class LabeledGraph:
     def edge(self, eid: str) -> Edge:
         e = validate_graph(self).index.edges.get(eid)
         if e is None:
-            raise SemanticError(f"no edge named {eid!r}")
+            raise SemanticError(f"no edge named {clipped_name(eid)}")
         return e
 
 
@@ -175,7 +175,7 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
         tree = tuple(g.spanning_tree)
         for eid in tree:
             if eid not in edges:
-                raise SemanticError(f"spanning tree names unknown edge {eid!r}")
+                raise SemanticError(f"spanning tree names unknown edge {clipped_name(eid)}")
         if len(set(tree)) != len(tree):
             raise SemanticError("spanning tree lists an edge twice")
         # V-1 edges that reach every vertex cannot close a cycle
@@ -187,7 +187,7 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
         reached = _breadth_first(base, departing, set(tree))
         if len(reached) != len(g.vertices):
             missing = next(v for v in g.vertices if v not in reached)
-            raise SemanticError(f"spanning tree does not reach vertex {missing!r}")
+            raise SemanticError(f"spanning tree does not reach vertex {clipped_name(missing)}")
     parent: dict[str, tuple[str, Cross, Cross]] = {}
     depth = {base: 0}
     for v, m in reached.items():
@@ -329,27 +329,26 @@ def _letter_route(g: LabeledGraph, b: str, kind, name, k) -> list[Item]:
     free list it never reuses, so per-call route tuples would pile up there."""
     if not isinstance(k, int):
         raise InvalidPath(f"exponent must be an integer, got {clipped(repr(k), str)}")
-    if kind == "a":
-        if name not in g.index.depth:
-            raise InvalidPath(
-                f"unknown vertex {clipped_name(name)} in letter a[{clipped(str(name), str)}]"
-            )
+    if kind == "a" and name in g.index.depth:
         if k == 0:
             return []
         route = tree_path(g, b, name)
         route.append(Pow(name, k))
         return route + tree_path(g, name, b)
-    if kind == "t":
-        pair = g.index.moves.get(name)
-        if pair is None:
-            raise InvalidPath(f"unknown edge {name!r} in letter t[{name}]")
+    pair = g.index.moves.get(name) if kind == "t" else None
+    if pair is not None:
         if k not in (+1, -1):
             raise InvalidPath(f"crossing exponent must be +-1, got {k}")
         _, _, start, end, _, _ = pair[k < 0]
         route = tree_path(g, b, start)
         route.append(Cross(name, k))
         return route + tree_path(g, end, b)
-    raise InvalidPath(f"unknown letter kind {kind!r}")
+    if kind not in ("a", "t"):
+        raise InvalidPath(f"unknown letter kind {clipped_name(kind)}")
+    raise InvalidPath(
+        f"unknown {'vertex' if kind == 'a' else 'edge'} {clipped_name(name)}"
+        f" in letter {kind}[{clipped(str(name), str)}]"
+    )
 
 
 def make_word(g: LabeledGraph, letters: Iterable[tuple], base: Optional[str] = None) -> GroupWord:
@@ -417,12 +416,14 @@ def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross],
         for item in w.items:
             if type(item) is Pow:
                 if item.vertex != v:
-                    raise InvalidPath(f"power at {item.vertex!r} but path is at {v!r}")
+                    raise InvalidPath(
+                        f"power at {clipped_name(item.vertex)} but path is at {clipped_name(v)}"
+                    )
                 p += item.n
                 continue
             pair = moves.get(item.edge)
             if pair is None:
-                raise SemanticError(f"no edge named {item.edge!r}")
+                raise SemanticError(f"no edge named {clipped_name(item.edge)}")
             if item.sign == 1:
                 own, rev, dep, arr, d, a = pair[0]
             elif item.sign == -1:
@@ -431,7 +432,8 @@ def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross],
                 raise _malformed(item)
             if dep != v:
                 raise InvalidPath(
-                    f"crossing of {item.edge!r} departs {dep!r} but path is at {v!r}"
+                    f"crossing of {clipped_name(item.edge)} departs {clipped_name(dep)}"
+                    f" but path is at {clipped_name(v)}"
                 )
             if c is rev and p % d == 0:
                 carry = p // d * a
@@ -443,7 +445,7 @@ def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross],
     except (AttributeError, TypeError):  # not a Pow or Cross of int exponent or sign
         raise _malformed(item) from None
     if v != w.base:
-        raise InvalidPath(f"path ends at {v!r}, not at base {w.base!r}")
+        raise InvalidPath(f"path ends at {clipped_name(v)}, not at base {clipped_name(w.base)}")
     out.append((c, p, v))
     return out
 

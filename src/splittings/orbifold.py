@@ -245,11 +245,10 @@ def euler_characteristic(o: Orbifold2) -> Fraction:
     chi(surface) minus (1 - 1/q) per cone, minus (1 - 1/r)/2 per corner
     reflector, minus 1/4 per mirror-boundary junction; chi(surface) is
     2 - 2*genus - b for orientable, 2 - genus - b otherwise, with b the
-    number of boundary circles. The sum is taken in integers over the
-    common denominator d = lcm(4, cone orders, 2 * corner orders) and made a
-    Fraction once. A surface that cannot exist (negative genus, or no
-    cross-cap on a non-orientable one) raises InvalidOrbifold, as in
-    validate.
+    number of boundary circles. The sum is taken in integers by _chi_part,
+    the census's formula, and made a Fraction once. A surface that cannot
+    exist (negative genus, or no cross-cap on a non-orientable one) raises
+    InvalidOrbifold, as in validate.
 
     >>> euler_characteristic(validate(Orbifold2(True, 0, (2, 3, 7))))
     Fraction(-1, 42)
@@ -263,8 +262,7 @@ def euler_characteristic(o: Orbifold2) -> Fraction:
             quarters -= 2
             dens.append(2 * r)
         quarters -= c.junctions()
-    d = math.lcm(4, *dens)
-    return Fraction(quarters * (d // 4) + sum(d // x for x in dens), d)
+    return Fraction(*_chi_part(quarters, dens))
 
 
 def is_hyperbolic(o: Orbifold2) -> bool:

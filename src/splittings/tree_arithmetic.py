@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from operator import add
 from typing import Iterable, Optional, Sequence
 
 from . import gbs
-from .errors import SemanticError, require_nonnegative
+from .errors import SemanticError, clipped, require_nonnegative
 from .gbs import GroupWord, LabeledGraph
 
 
@@ -41,6 +40,8 @@ def master(g: LabeledGraph) -> MasterSplitting:
 
 
 def collapse(m: MasterSplitting, kept: Iterable[str]) -> CollapseTree:
+    if isinstance(kept, str):  # one string is not a set of its characters
+        raise SemanticError(f"kept set {clipped(kept)} is a string, not a set of orbit ids")
     kept = frozenset(kept)
     unknown = kept - set(m.orbits)
     if unknown:
@@ -75,18 +76,19 @@ def length_in_collapse(m: MasterSplitting, K: CollapseTree, w: GroupWord) -> int
 
 def _coset_lengths(shifts: list[Counter], kept: frozenset[str]) -> list[int]:
     """Per word, the length in the collapse keeping these orbits."""
-    return [max(sum(s[e] for e in kept), 0) for s in shifts]
+    return [max(sum(n for e, n in s.items() if e in kept), 0) for s in shifts]
 
 
 def verify_modularity(
     m: MasterSplitting, collapses: Sequence[CollapseTree], words: Iterable[GroupWord]
 ) -> list[tuple[int, int]]:
-    """The index pairs i < j, in itertools.combinations order, where the
-    Britton lengths l_i + l_j differ from the coset-path lengths l_lcm +
-    l_gcd on some word. As d(x, wx) = l(w) + 2 d(x, axis) for a tree isometry
-    (Culler-Morgan), l = max(k(w^2) - k(w), 0) at the base, where k(u) counts
-    the steps on kept orbits of u's normalized coset path. Each word is
-    reduced once. A failure is a bug, never a counterexample."""
+    """The index pairs i < j, in itertools.combinations order, whose lcm or
+    gcd has a Britton length other than its coset-path length on some word;
+    Britton lengths add over kept orbits, so that is l_i + l_j = l_lcm +
+    l_gcd, decided once per kept set. As d(x, wx) = l(w) + 2 d(x, axis) for
+    a tree isometry (Culler-Morgan), l = max(k(w^2) - k(w), 0) at the base,
+    where k(u) counts kept-orbit steps on u's normalized coset path. Each
+    word is reduced once. A failure is a bug, never a counterexample."""
     seqs, shifts = [], []
     for w in words:
         seqs.append(gbs.crossing_sequence(m.graph, w))
@@ -95,16 +97,17 @@ def verify_modularity(
         shift = Counter(c.edge for c, _ in twice)
         shift.subtract(c.edge for c, _ in steps)
         shifts.append(shift)
-    britton = [[sum(e in K.kept for e in seq) for seq in seqs] for K in collapses]
-    coset: dict[frozenset[str], list[int]] = {}
+    exact: dict[frozenset[str], bool] = {}
     failed = []
     for (i, K1), (j, K2) in itertools.combinations(enumerate(collapses), 2):
-        union, inter = K1.kept | K2.kept, K1.kept & K2.kept
-        for kept in (union, inter):
-            if kept not in coset:
-                coset[kept] = _coset_lengths(shifts, kept)
-        if list(map(add, britton[i], britton[j])) != list(map(add, coset[union], coset[inter])):
-            failed.append((i, j))
+        for kept in (K1.kept | K2.kept, K1.kept & K2.kept):
+            ok = exact.get(kept)
+            if ok is None:
+                britton = [sum(map(kept.__contains__, seq)) for seq in seqs]
+                ok = exact[kept] = _coset_lengths(shifts, kept) == britton
+            if not ok:
+                failed.append((i, j))
+                break
     return failed
 
 

@@ -438,6 +438,66 @@ class TestCommandPath:
         assert cli_io._build_parser() is cli_io._build_parser()
 
 
+U300, V300, E300 = "u" * 300, "v" * 300, "e" * 300
+
+
+def _long_pair():
+    return sp.graph((U300, V300), (("f", U300, V300, 2, 2),))
+
+
+def _long_skeleton(*classes, stabilizers=()):
+    s = cyl.SkeletonGraph(
+        (cyl.SkeletonVertex(U300), cyl.SkeletonVertex(V300)),
+        (cyl.SkeletonEdge(E300, U300, V300),),
+    )
+    return cyl.validate_atlas(s, cyl.CylinderAtlas(classes, stabilizers))
+
+
+def _long_word(*items):
+    return sp.translation_length(_long_pair(), sp.GroupWord(U300, items))
+
+
+LONG_NAME_ERRORS = {
+    "graph-edge": lambda: _long_pair().edge(E300),
+    "tree-unknown-edge": lambda: sp.validate_graph(
+        sp.LabeledGraph(("v",), (sp.Edge("e", "v", "v", 1, 2),), spanning_tree=(E300,))
+    ),
+    "tree-misses-vertex": lambda: sp.validate_graph(
+        sp.LabeledGraph(
+            ("u", V300),
+            (sp.Edge("e", "u", "u", 2, 3), sp.Edge("f", "u", V300, 2, 2)),
+            spanning_tree=("e",),
+        )
+    ),
+    "t-letter": lambda: sp.make_word(sp.bs(2, 3), [("t", E300, 1)]),
+    "power-off-path": lambda: _long_word(sp.Pow(V300, 1)),
+    "crossing-no-edge": lambda: _long_word(sp.Cross(E300, 1)),
+    "crossing-off-path": lambda: _long_word(sp.Cross("f", -1)),
+    "path-not-closed": lambda: _long_word(sp.Cross("f", 1)),
+    "atlas-not-incident": lambda: _long_skeleton(
+        cyl.LocalClass(U300, "a", ((E300, "t"),), True, True)
+    ),
+    "atlas-unclassed-end": lambda: _long_skeleton(
+        cyl.LocalClass(U300, "a", ((E300, "o"),), True, True)
+    ),
+    "atlas-unknown-stabilizer-edge": lambda: _long_skeleton(
+        cyl.LocalClass(U300, "a", ((E300, "o"),), True, True),
+        cyl.LocalClass(V300, "a", ((E300, "t"),), True, True),
+        stabilizers=(("x" * 300, "Z"),),
+    ),
+    "keep-unknown-edge": lambda: cli_io.parse(
+        f"[master]\nvertex v\nedge e: v(2) -- v(3)\nkeep {'K' * 300} = {E300}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("call", LONG_NAME_ERRORS.values(), ids=LONG_NAME_ERRORS)
+def test_long_names_clipped(call):
+    with pytest.raises(SplittingsError) as info:
+        call()
+    assert "chars)" in str(info.value) and len(str(info.value)) <= 200
+
+
 class TestHostileInput:
     def test_keepless_lattice_over_cap_exit_1(self, tmp_path):
         n = cli_io.LATTICE_MAX_EDGES + 1
@@ -915,6 +975,17 @@ class TestLatticeVerifyCanFail:
             "_coset_lengths",
             lambda shifts, kept: coset_lengths(shifts, frozenset(sorted(kept)[1:])),
         )
+        self.assert_fails(keepless_m3)
+
+    def test_coset_side_shifts_one_orbit_on_one_word(self, keepless_m3, monkeypatch):
+        coset_lengths = ta._coset_lengths
+
+        def shifted(shifts, kept):
+            first = shifts[0].copy()
+            first["f"] += 1
+            return coset_lengths([first, *shifts[1:]], kept)
+
+        monkeypatch.setattr(ta, "_coset_lengths", shifted)
         self.assert_fails(keepless_m3)
 
     def test_one_reduction_per_word(self, keepless_m3, monkeypatch):

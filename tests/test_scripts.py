@@ -84,6 +84,18 @@ def test_census_rows_match_each_budget():
         assert row["finite_mcg"] == sum(sp.has_finite_mcg(o).finite for o in hyperbolic)
 
 
+def test_lattice_script_exits_on_failed_modularity(monkeypatch):
+    # an explicit check, not an assert that python -O would skip
+    spec = importlib.util.spec_from_file_location(
+        "collapse_lattice", ROOT / "scripts" / "collapse_lattice.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script.ta, "verify_modularity", lambda m, ks, ws: [(0, 1)])
+    with pytest.raises(SystemExit):
+        script.main(2, 3, 0)
+
+
 def test_bench_trace_names_resolve():
     # bench/run.py --trace 1 rebinds every (owner, attr) of TRACED; a
     # renamed or removed function must fail here, not only in a traced run

@@ -28,6 +28,12 @@ class TestLattice:
         with pytest.raises(SemanticError):
             K(m, "zz")
 
+    @pytest.mark.parametrize("kept", ["e", "ee", "ef", ""])
+    def test_collapse_refuses_a_string(self, m, kept):
+        # read as its characters, "ee" would keep {e} and "ef" {e, f}
+        with pytest.raises(SemanticError, match="is a string"):
+            ta.collapse(m, kept)
+
     def test_prime_factors(self, m):
         primes = ta.prime_factors(K(m, "e", "ep", "f"))
         assert {frozenset(p.kept) for p in primes} == {
@@ -111,6 +117,19 @@ class TestLengths:
             for s in itertools.combinations(m.orbits, r)
         ]
         assert ta.verify_modularity(m, subsets, words) == []
+
+    def test_modularity_fails_when_lcm_and_gcd_errors_cancel(self, m, monkeypatch):
+        # +1 on the lcm {e, f} and -1 on the gcd {} cancel in l_lcm + l_gcd,
+        # but each is a kept set whose coset-path length is wrong
+        coset_lengths = ta._coset_lengths
+        skew = {frozenset({"e", "f"}): 1, frozenset(): -1}
+
+        def skewed(shifts, kept):
+            return [n + skew.get(kept, 0) for n in coset_lengths(shifts, kept)]
+
+        monkeypatch.setattr(ta, "_coset_lengths", skewed)
+        words = sp.sample_words(m.graph, 10, 6, 0)
+        assert ta.verify_modularity(m, [K(m, "e"), K(m, "f")], words) == [(0, 1)]
 
 
 class TestSquarefree:
