@@ -43,6 +43,7 @@ from .errors import (
     SemanticError,
     SplittingsError,
     clipped,
+    clipped_name,
 )
 from .report import TOOL_NAME, Report, digest, envelope, json_text, rational_str
 
@@ -90,15 +91,19 @@ class Document:
 
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_ID_RE = re.compile(_ID)
+_HEADER_RE = re.compile(r"\[(orbifold|gbs|master|atlas)\]")
+_NAME_RE = re.compile(r"name(?=[\s=]|$)")  # the first word is "name"
 _EDGE_RE = re.compile(
-    rf"({_ID})\s*:\s*({_ID})\s*\(\s*(-?\d+)\s*\)\s*--\s*({_ID})\s*\(\s*(-?\d+)\s*\)$"
+    rf"({_ID})\s*:\s*({_ID})\s*\(\s*(-?\d+)\s*\)\s*--\s*({_ID})\s*\(\s*(-?\d+)\s*\)"
 )
-_LETTER_RE = re.compile(rf"([at])\[({_ID})\](?:\^(-?\d+))?$")
-_CIRCLE_TOKEN_RE = re.compile(r"(M|B)(?:\((\d+)\))?$")
+_LINK_RE = re.compile(rf"({_ID})\s*--\s*({_ID})")
+_CLASS_ID_RE = re.compile(rf"({_ID})\.({_ID})")
+_END_RE = re.compile(rf"({_ID})\.([ot])")
+_LETTER_RE = re.compile(rf"([at])\[({_ID})\](?:\^(-?\d+))?")
+_CIRCLE_TOKEN_RE = re.compile(r"(M|B)(?:\((\d+)\))?")
 
-
-def _err(msg: str, line: int, column: int = 1) -> DocumentSyntaxError:
-    return DocumentSyntaxError(msg, line, column)
+_err = DocumentSyntaxError
 
 
 def parse_letters(text: str, line: Optional[int] = None) -> Letters:
@@ -111,16 +116,16 @@ def parse_letters(text: str, line: Optional[int] = None) -> Letters:
 
     letters = []
     for tok in text.split():
-        m = _LETTER_RE.match(tok)
+        m = _LETTER_RE.fullmatch(tok)
         if not m:
-            raise bad(f"bad word letter {tok!r}")
-        kind, name, exp = m.group(1), m.group(2), m.group(3)
+            raise bad(f"bad word letter {clipped(tok)}")
+        kind, name, exp = m.groups()
         try:
             k = int(exp) if exp is not None else 1
         except ValueError:  # past the interpreter's limit on digits
-            raise bad(f"exponent too long in {tok[:20]!r}...") from None
+            raise bad(f"exponent too long in {clipped(tok)}") from None
         if kind == "t" and k not in (1, -1):
-            raise bad(f"crossing exponent must be +-1 in {tok!r}")
+            raise bad(f"crossing exponent must be +-1 in {clipped(tok)}")
         if k != 0:
             letters.append((kind, name, k))
     return tuple(letters)
@@ -140,11 +145,9 @@ def _split_kv(line_text: str, line: int) -> tuple[str, str]:
 
 
 def _parse_bool(value: str, line: int) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise _err(f"expected true or false, got {value!r}", line)
+    if value not in ("true", "false"):
+        raise _err(f"expected true or false, got {clipped(value)}", line)
+    return value == "true"
 
 
 def _not_an_int(value: str, want: str) -> str:
@@ -169,30 +172,61 @@ def _parse_int(value: str, line: int) -> int:
         raise _err(_not_an_int(value, "an integer"), line) from None
 
 
+def _match(pattern: re.Pattern, text: str, what: str, line: int) -> re.Match:
+    """pattern matched on all of text, or a syntax error naming text a bad `what`."""
+    m = pattern.fullmatch(text)
+    if not m:
+        raise _err(f"bad {what} {clipped(text)}", line)
+    return m
+
+
+def _id_list(value: str) -> tuple[str, ...]:
+    """The ids of a comma list, blank entries dropped."""
+    return tuple(x.strip() for x in value.split(",") if x.strip())
+
+
+def _named_value(text: str, line: int) -> tuple[str, str]:
+    """The NAME and the value of a `word NAME = value` or `keep NAME = value` line."""
+    key, value = _split_kv(text, line)
+    head, _, name = key.partition(" ")
+    return _match(_ID_RE, name.strip(), f"{head} name", line)[0], value
+
+
+def _attributes(parts: list[str], line: int, what: str, readers: dict) -> dict:
+    """The `key = value` attributes of an atlas line, each read by readers[key],
+    as keyword arguments: a key is the name of the field it sets."""
+    found = {}
+    for part in parts:
+        key, value = _split_kv(part, line)
+        if key not in readers:
+            raise _err(f"unknown {what} attribute {clipped(key)}", line)
+        found[key] = readers[key](value, line)
+    return found
+
+
+_EDGE_ATTRIBUTES = {"group": lambda value, line: value}
+_CLASS_ATTRIBUTES = {"plural": _parse_bool, "in_A": _parse_bool}
+
+
 def _parse_circle(value: str, line: int) -> orbifold.BoundaryCircle:
     if value == "plain":
         return orbifold.BoundaryCircle.plain()
-    word = []
-    corners = []
+    word, corners = [], []
     for tok in value.split():
-        m = _CIRCLE_TOKEN_RE.match(tok)
-        if not m:
-            raise _err(f"bad circle token {tok!r}", line)
-        word.append(m.group(1))
-        corners.append(_parse_int(m.group(2), line) if m.group(2) else None)
+        mark, corner = _match(_CIRCLE_TOKEN_RE, tok, "circle token", line).groups()
+        word.append(mark)
+        corners.append(_parse_int(corner, line) if corner else None)
     return orbifold.BoundaryCircle("mixed", tuple(word), tuple(corners))
 
 
-def _parse_orbifold(body, name, comments) -> Document:
+def _parse_orbifold(body) -> orbifold.Orbifold2:
     orientable = True
     genus = 0
     cones: list[int] = []
     circles: list[orbifold.BoundaryCircle] = []
     for line, text in body:
         key, value = _split_kv(text, line)
-        if key == "name":
-            name = value
-        elif key == "orientable":
+        if key == "orientable":
             orientable = _parse_bool(value, line)
         elif key == "genus":
             genus = _parse_int(value, line)
@@ -202,14 +236,11 @@ def _parse_orbifold(body, name, comments) -> Document:
         elif key == "circle":
             circles.append(_parse_circle(value, line))
         else:
-            raise _err(f"unknown orbifold key {key!r}", line)
-    o = orbifold.validate(
-        orbifold.Orbifold2(orientable, genus, tuple(cones), tuple(circles))
-    )
-    return Document("orbifold", o, name, comments)
+            raise _err(f"unknown orbifold key {clipped(key)}", line)
+    return orbifold.validate(orbifold.Orbifold2(orientable, genus, tuple(cones), tuple(circles)))
 
 
-def _parse_graph(body, kind, name, comments) -> Document:
+def _parse_graph(body, kind: str, name: str) -> GbsSpec:
     vertices: list[str] = []
     edges: list[gbs.Edge] = []
     words: list[tuple[str, Letters]] = []
@@ -219,131 +250,77 @@ def _parse_graph(body, kind, name, comments) -> Document:
     for line, text in body:
         head, _, rest = text.partition(" ")
         rest = rest.strip()
-        if head == "name":
-            _, name = _split_kv(text, line)
-        elif head == "vertex":
-            if not re.fullmatch(_ID, rest):
-                raise _err(f"bad vertex id {rest!r}", line)
-            vertices.append(rest)
+        if head == "vertex":
+            vertices.append(_match(_ID_RE, rest, "vertex id", line)[0])
         elif head == "edge":
-            m = _EDGE_RE.match(rest)
-            if not m:
-                raise _err(f"bad edge syntax {rest!r}", line)
-            eid, o, t = m.group(1), m.group(2), m.group(4)
-            lam, mu = _parse_int(m.group(3), line), _parse_int(m.group(5), line)
+            eid, o, lam, t, mu = _match(_EDGE_RE, rest, "edge syntax", line).groups()
+            lam, mu = _parse_int(lam, line), _parse_int(mu, line)
             for v in (o, t):
                 if v not in vertices:
                     vertices.append(v)
             edges.append(gbs.Edge(eid, o, t, lam, mu))
         elif head == "base":
-            _, base = _split_kv(text, line)
+            base = _split_kv(text, line)[1]
         elif head == "tree":
-            _, value = _split_kv(text, line)
-            tree = tuple(x.strip() for x in value.split(",") if x.strip())
+            tree = _id_list(_split_kv(text, line)[1])
         elif head == "word":
-            key, value = _split_kv(text, line)
-            wname = key.split(" ", 1)[1].strip() if " " in key else ""
-            if not re.fullmatch(_ID, wname):
-                raise _err(f"bad word name {wname!r}", line)
+            wname, value = _named_value(text, line)
             words.append((wname, parse_letters(value, line)))
         elif head == "keep" and kind == "master":
-            key, value = _split_kv(text, line)
-            kname = key.split(" ", 1)[1].strip() if " " in key else ""
-            if not re.fullmatch(_ID, kname):
-                raise _err(f"bad keep name {kname!r}", line)
-            ids = tuple(x.strip() for x in value.split(",") if x.strip())
-            keeps.append((kname, ids))
+            kname, value = _named_value(text, line)
+            keeps.append((kname, _id_list(value)))
         else:
-            raise _err(f"unknown {kind} line {text!r}", line)
-    g = gbs.validate_graph(
-        gbs.LabeledGraph(tuple(vertices), tuple(edges), base, tree, name)
-    )
-    known = {e.id for e in g.edges}
+            raise _err(f"unknown {kind} line {clipped(text)}", line)
+    g = gbs.validate_graph(gbs.LabeledGraph(tuple(vertices), tuple(edges), base, tree, name))
     for kname, ids in keeps:
         for eid in ids:
-            if eid not in known:
+            if eid not in g.index.edges:
                 raise SemanticError(f"keep {clipped(kname)} names unknown edge {clipped(eid)}")
-    return Document(kind, GbsSpec(g, tuple(words), tuple(keeps)), name, comments)
+    return GbsSpec(g, tuple(words), tuple(keeps))
 
 
-def _parse_atlas(body, name, comments) -> Document:
+def _parse_atlas(body, name: str) -> AtlasSpec:
     vertices: list[cyl.SkeletonVertex] = []
     edges: list[cyl.SkeletonEdge] = []
     classes: list[cyl.LocalClass] = []
     stabs: list[tuple[str, str]] = []
     for line, text in body:
+        # every atlas line reads `head key: spec`
         head, _, rest = text.partition(" ")
-        rest = rest.strip()
-        if head == "name":
-            _, name = _split_kv(text, line)
-            continue
+        key, _, spec = rest.partition(":")
+        key = key.strip()
         if head == "vertex":
-            vid, _, label = rest.partition(":")
-            vid = vid.strip()
-            if not re.fullmatch(_ID, vid):
-                raise _err(f"bad vertex id {vid!r}", line)
-            vertices.append(cyl.SkeletonVertex(vid, label.strip()))
-            continue
-        if head == "edge":
-            eid, _, spec = rest.partition(":")
-            eid = eid.strip()
-            parts = [p.strip() for p in spec.split(",")]
-            m = re.fullmatch(rf"({_ID})\s*--\s*({_ID})", parts[0])
+            vid = _match(_ID_RE, key, "vertex id", line)[0]
+            vertices.append(cyl.SkeletonVertex(vid, spec.strip()))
+        elif head == "edge":
+            link, *extras = spec.split(",")
+            m = _LINK_RE.fullmatch(link.strip())
             if not m:
-                raise _err(f"bad atlas edge {text!r}", line)
-            if not re.fullmatch(_ID, eid):
-                raise _err(f"bad edge id {eid!r}", line)
-            group = ""
-            for extra in parts[1:]:
-                k, v = _split_kv(extra, line)
-                if k == "group":
-                    group = v
-                else:
-                    raise _err(f"unknown edge attribute {k!r}", line)
-            edges.append(
-                cyl.SkeletonEdge(eid, m.group(1), m.group(2), group)
-            )
-            continue
-        if head == "class":
-            key, _, spec = rest.partition(":")
-            m = re.fullmatch(rf"({_ID})\.({_ID})", key.strip())
-            if not m:
-                raise _err(f"bad class id {key.strip()!r}", line)
-            parts = [p.strip() for p in spec.split(",")]
-            ends = []
-            for tok in parts[0].split():
-                em = re.fullmatch(rf"({_ID})\.(o|t)", tok)
-                if not em:
-                    raise _err(f"bad end token {tok!r}", line)
-                ends.append((em.group(1), em.group(2)))
-            plural: Optional[bool] = None
-            in_a: Optional[bool] = None
-            for extra in parts[1:]:
-                k, v = _split_kv(extra, line)
-                if k == "plural":
-                    plural = _parse_bool(v, line)
-                elif k == "in_A":
-                    in_a = _parse_bool(v, line)
-                else:
-                    raise _err(f"unknown class attribute {k!r}", line)
-            classes.append(
-                cyl.LocalClass(m.group(1), m.group(2), tuple(ends), plural, in_a)
-            )
-            continue
-        if head == "cylinder":
-            eid, _, label = rest.partition(":")
-            stabs.append((eid.strip(), label.strip()))
-            continue
-        raise _err(f"unknown atlas line {text!r}", line)
+                raise _err(f"bad atlas edge {clipped(text)}", line)
+            eid = _match(_ID_RE, key, "edge id", line)[0]
+            attrs = _attributes(extras, line, "edge", _EDGE_ATTRIBUTES)
+            edges.append(cyl.SkeletonEdge(eid, *m.groups(), **attrs))
+        elif head == "class":
+            vertex, cname = _match(_CLASS_ID_RE, key, "class id", line).groups()
+            first, *extras = spec.split(",")
+            ends = [_match(_END_RE, tok, "end token", line).groups() for tok in first.split()]
+            flags = _attributes(extras, line, "class", _CLASS_ATTRIBUTES)
+            classes.append(cyl.LocalClass(vertex, cname, tuple(ends), **flags))
+        elif head == "cylinder":
+            stabs.append((key, spec.strip()))
+        else:
+            raise _err(f"unknown atlas line {clipped(text)}", line)
     skeleton = cyl.SkeletonGraph(tuple(vertices), tuple(edges), name)
     atlas = cyl.CylinderAtlas(tuple(classes), tuple(stabs))
-    hypotheses = tuple(cyl.validate_atlas(skeleton, atlas))
-    return Document("atlas", AtlasSpec(skeleton, atlas, hypotheses), name, comments)
+    return AtlasSpec(skeleton, atlas, tuple(cyl.validate_atlas(skeleton, atlas)))
 
 
 def parse(text: str) -> Document:
-    """Parse a document; the payload comes back validated."""
+    """Parse a document; the payload comes back validated. In every section
+    a line whose first word is `name` reads `name = value`; the last one
+    names the document."""
     section = None
+    name = ""
     comments: list[str] = []
     body: list[tuple[int, str]] = []
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -352,28 +329,32 @@ def parse(text: str) -> Document:
             continue
         if line.startswith("#"):
             comments.append(line[1:].strip())
-            continue
-        if line.startswith("["):
+        elif line.startswith("["):
             if section is not None:
                 raise _err("more than one section header", i)
-            m = re.fullmatch(r"\[(orbifold|gbs|master|atlas)\]", line)
+            m = _HEADER_RE.fullmatch(line)
             if not m:
-                raise _err(f"unknown section header {line!r}", i)
+                raise _err(f"unknown section header {clipped(line)}", i)
             section = m.group(1)
-            continue
-        if section is None:
+        elif section is None:
             raise _err("content before the section header", i)
-        body.append((i, line))
+        elif _NAME_RE.match(line):
+            key, name = _split_kv(line, i)
+            if key != "name":
+                raise _err(f"unknown {section} key {clipped(key)}", i)
+        else:
+            body.append((i, line))
     if section is None:
         if comments:
             raise _err("comments without a section header", 1)
         return Document("empty", None)
-    name = ""
     if section == "orbifold":
-        return _parse_orbifold(body, name, tuple(comments))
-    if section in ("gbs", "master"):
-        return _parse_graph(body, section, name, tuple(comments))
-    return _parse_atlas(body, name, tuple(comments))
+        payload = _parse_orbifold(body)
+    elif section == "atlas":
+        payload = _parse_atlas(body, name)
+    else:
+        payload = _parse_graph(body, section, name)
+    return Document(section, payload, name, tuple(comments))
 
 
 # -- serializer -----------------------------------------------------------------
@@ -387,13 +368,8 @@ def _circle_text(c: orbifold.BoundaryCircle) -> str:
     return " ".join(toks)
 
 
-def _serialize_orbifold(d: Document) -> list[str]:
-    o: orbifold.Orbifold2 = d.payload
-    lines = []
-    if d.name:
-        lines.append(f"name = {d.name}")
-    lines.append(f"orientable = {'true' if o.orientable else 'false'}")
-    lines.append(f"genus = {o.genus}")
+def _serialize_orbifold(o: orbifold.Orbifold2) -> list[str]:
+    lines = [f"orientable = {'true' if o.orientable else 'false'}", f"genus = {o.genus}"]
     if o.cone_points:
         lines.append("cone = " + ", ".join(str(q) for q in o.cone_points))
     for c in o.circles:
@@ -401,12 +377,9 @@ def _serialize_orbifold(d: Document) -> list[str]:
     return lines
 
 
-def _serialize_graph(d: Document) -> list[str]:
-    spec: GbsSpec = d.payload
+def _serialize_graph(spec: GbsSpec) -> list[str]:
     g = spec.graph
     lines = []
-    if d.name:
-        lines.append(f"name = {d.name}")
     for v in g.vertices:
         lines.append(f"vertex {v}")
     for e in g.edges:
@@ -422,11 +395,8 @@ def _serialize_graph(d: Document) -> list[str]:
     return lines
 
 
-def _serialize_atlas(d: Document) -> list[str]:
-    spec: AtlasSpec = d.payload
+def _serialize_atlas(spec: AtlasSpec) -> list[str]:
     lines = []
-    if d.name:
-        lines.append(f"name = {d.name}")
     for v in spec.skeleton.vertices:
         lines.append(f"vertex {v.id}: {v.group}" if v.group else f"vertex {v.id}")
     for e in spec.skeleton.edges:
@@ -454,14 +424,16 @@ def serialize(d: Document) -> str:
         return ""
     lines = [f"[{d.kind}]"]
     lines += [f"# {c}" for c in d.comments]
+    if d.name:
+        lines.append(f"name = {d.name}")
     if d.kind == "orbifold":
-        lines += _serialize_orbifold(d)
+        lines += _serialize_orbifold(d.payload)
     elif d.kind in ("gbs", "master"):
-        lines += _serialize_graph(d)
+        lines += _serialize_graph(d.payload)
     elif d.kind == "atlas":
-        lines += _serialize_atlas(d)
+        lines += _serialize_atlas(d.payload)
     else:
-        raise SemanticError(f"cannot serialize document kind {d.kind!r}")
+        raise SemanticError(f"cannot serialize document kind {clipped_name(d.kind)}")
     return "\n".join(lines) + "\n"
 
 

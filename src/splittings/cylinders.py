@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
-from .errors import Disconnected, MissingFlag, SemanticError, UnclassedEnd, clipped_name
+from .errors import Disconnected, MissingFlag, SemanticError, UnclassedEnd, clipped, clipped_name
 
 End = tuple[str, str]  # (edge orbit id, "o" | "t")
 
@@ -120,14 +120,17 @@ def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
     for v in vids:
         if _CYLINDER_ID.fullmatch(v):
             raise SemanticError(
-                f"vertex orbit id {v!r} is reserved: cylinder orbits are named Y1, Y2, ..."
+                f"vertex orbit id {clipped_name(v)} is reserved: cylinder orbits are"
+                " named Y1, Y2, ..."
             )
     if len({e.id for e in s.edges}) != len(s.edges):
         raise SemanticError("duplicate edge orbit id")
     ends_at: dict[str, list[End]] = {v: [] for v in vids}
     for e in s.edges:
         if e.origin not in ends_at or e.terminus not in ends_at:
-            raise SemanticError(f"edge {e.id} attached to an unknown vertex orbit")
+            raise SemanticError(
+                f"edge {clipped(str(e.id), str)} attached to an unknown vertex orbit"
+            )
         ends_at[e.origin].append((e.id, "o"))
         ends_at[e.terminus].append((e.id, "t"))
     root = _components(vids, ((e.origin, e.terminus) for e in s.edges))
@@ -142,7 +145,7 @@ def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
         if c.vertex not in ends_at:
             raise SemanticError(f"class at unknown vertex orbit {clipped_name(c.vertex)}")
         if not c.ends:
-            raise SemanticError(f"class {c.vertex}.{c.name} has no ends")
+            raise SemanticError(f"class {clipped(f'{c.vertex}.{c.name}', str)} has no ends")
         for end in c.ends:
             if vertex_of.get(end) != c.vertex:
                 raise SemanticError(
@@ -150,10 +153,10 @@ def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
                     f" {clipped_name(c.vertex)}"
                 )
             if end in classed:
-                raise SemanticError(f"end {end} classed twice")
+                raise SemanticError(f"end {clipped_name(end)} classed twice")
             classed[end] = c.key()
         if c.plural is None:
-            raise MissingFlag(f"class {c.key()} has no plural flag")
+            raise MissingFlag(f"class {clipped_name(c.key())} has no plural flag")
     for v, ends in ends_at.items():
         for end in ends:
             if end not in classed:
@@ -242,7 +245,9 @@ def collapse_non_A(q: QuotientGraph) -> QuotientGraph:
     contracted = []
     for e in q.edges:
         if e.in_A is None:
-            raise MissingFlag(f"edge ({e.v0}, {e.local_class}) has no in_A flag")
+            raise MissingFlag(
+                f"edge {clipped(f'({e.v0}, {e.local_class})', str)} has no in_A flag"
+            )
         if e.in_A:
             keep.append(e)
         else:

@@ -104,12 +104,12 @@ class MissingFlag(SplittingsError):
 # -- cli_io -------------------------------------------------------------------
 
 class DocumentSyntaxError(SplittingsError):
-    """Malformed document text. Carries 1-based line and column."""
+    """Malformed document text at a 1-based line, kept as .line; the
+    message reads "line N: ...", and a token or line it echoes is clipped."""
 
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
         self.line = line
-        self.column = column
 
 
 class SemanticError(SplittingsError):

@@ -138,6 +138,12 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
         return g
     if not g.vertices:
         raise Disconnected("empty graph")
+    for v in g.vertices:
+        if not isinstance(v, str):
+            raise SemanticError(f"vertex id {clipped_name(v)} is not a string")
+    for e in g.edges:
+        if not isinstance(e.id, str):
+            raise SemanticError(f"edge id {clipped_name(e.id)} is not a string")
     if len(set(g.vertices)) != len(g.vertices):
         raise SemanticError("duplicate vertex id")
     edges = {e.id: e for e in g.edges}
@@ -149,13 +155,13 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
         for x in (e.lam, e.mu):
             if type(x) is not int:  # bool is an int subclass, so it fails too
                 raise SemanticError(
-                    f"edge {e.id} carries the label {clipped(repr(x), str)};"
+                    f"edge {clipped(e.id, str)} carries the label {clipped(repr(x), str)};"
                     " labels are nonzero integers"
                 )
         if e.lam == 0 or e.mu == 0:
-            raise ZeroLabel(f"edge {e.id} carries a zero label")
+            raise ZeroLabel(f"edge {clipped(e.id, str)} carries a zero label")
         if e.origin not in departing or e.terminus not in departing:
-            raise SemanticError(f"edge {e.id} attached to an unknown vertex")
+            raise SemanticError(f"edge {clipped(e.id, str)} attached to an unknown vertex")
         fwd, bwd = Cross(e.id, +1), Cross(e.id, -1)
         forward = (fwd, bwd, e.origin, e.terminus, e.lam, e.mu)
         backward = (bwd, fwd, e.terminus, e.origin, e.mu, e.lam)

@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from . import __version__
+
 TOOL_NAME = "splittings"
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 
 def rational_str(x: Fraction | int) -> str:

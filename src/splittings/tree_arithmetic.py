@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import gbs
-from .errors import SemanticError, clipped, require_nonnegative
+from .errors import SemanticError, clipped, clipped_name, require_nonnegative
 from .gbs import GroupWord, LabeledGraph
 
 
@@ -45,7 +45,7 @@ def collapse(m: MasterSplitting, kept: Iterable[str]) -> CollapseTree:
     kept = frozenset(kept)
     unknown = kept - set(m.orbits)
     if unknown:
-        raise SemanticError(f"unknown edge orbits {sorted(unknown)}")
+        raise SemanticError(f"unknown edge orbits {clipped_name(sorted(unknown))}")
     return CollapseTree(kept)
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -101,6 +102,133 @@ class TestParse:
     def test_bad_circle_token(self):
         with pytest.raises(DocumentSyntaxError):
             cli_io.parse("[orbifold]\ncircle = M X B\n")
+
+    @pytest.mark.parametrize("kind", ["orbifold", "gbs", "master", "atlas"])
+    @pytest.mark.parametrize("line", ["name = m3", "name=m3", "name\t=  m3"])
+    def test_one_name_rule(self, kind, line):
+        body = "" if kind == "orbifold" else "vertex v\n"
+        d = cli_io.parse(f"[{kind}]\n# c\n{line}\n{body}")
+        assert (d.name, d.comments) == ("m3", ("c",))
+        if kind != "orbifold":
+            payload = d.payload
+            graph = payload.graph if kind != "atlas" else payload.skeleton
+            assert graph.name == "m3"
+        text = cli_io.serialize(d)
+        assert text.startswith(f"[{kind}]\n# c\nname = m3\n")
+        assert text.count("name") == 1 and cli_io.parse(text) == d
+
+    @pytest.mark.parametrize("kind", ["orbifold", "gbs", "master", "atlas"])
+    def test_name_line_takes_no_second_word(self, kind):
+        with pytest.raises(DocumentSyntaxError) as exc:
+            cli_io.parse(f"[{kind}]\nname x = m3\n")
+        assert str(exc.value) == f"line 2: unknown {kind} key 'name x'"
+
+    def test_syntax_error_names_the_line_only(self):
+        with pytest.raises(DocumentSyntaxError) as exc:
+            cli_io.parse("[gbs]\nedge e: v(2) -- v(3)\nword w = zz\n")
+        assert str(exc.value) == "line 3: bad word letter 'zz'"
+        assert not hasattr(exc.value, "column")
+
+
+LONG_INT = "1" * 5000
+DIGIT_LIMIT = (
+    f"'11111111111111111111'... (5000 chars) has 5000 digits, over the"
+    f" interpreter's limit of {sys.get_int_max_str_digits()} digits for an integer"
+)
+
+# one malformed document per syntax-error site of the parser: the line the
+# error names and its message after the "line N" prefix
+SYNTAX_ERROR_CORPUS = {
+    "header-twice": ("[gbs]\nvertex v\n[gbs]\n", 3, "more than one section header"),
+    "header-unknown": ("# x\n[graph]\n", 2, "unknown section header '[graph]'"),
+    "content-before-header": (
+        "genus = 0\n[orbifold]\n", 1, "content before the section header"
+    ),
+    "comments-only": ("\n# note\n", 1, "comments without a section header"),
+    "word-letter": (
+        "[gbs]\nedge e: v(2) -- v(3)\nword w = zz\n", 3, "bad word letter 'zz'"
+    ),
+    "word-exponent-long": (
+        f"[gbs]\nedge e: v(2) -- v(3)\nword w = a[v]^{LONG_INT}\n",
+        3,
+        "exponent too long in 'a[v]^111111111111111'... (5005 chars)",
+    ),
+    "word-crossing-exponent": (
+        "[gbs]\nedge e: v(2) -- v(3)\nword w = t[e]^2\n",
+        3,
+        "crossing exponent must be +-1 in 't[e]^2'",
+    ),
+    "orbifold-no-equals": ("[orbifold]\ngenus 2\n", 2, "expected key = value"),
+    "orbifold-bool": (
+        "[orbifold]\norientable = yes\n", 2, "expected true or false, got 'yes'"
+    ),
+    "orbifold-int": ("[orbifold]\ngenus = x\n", 2, "expected an integer, got 'x'"),
+    "orbifold-cone-empty": ("[orbifold]\ncone = 2, 3,\n", 2, "expected an integer, got ''"),
+    "orbifold-circle-token": ("[orbifold]\ncircle = M X B\n", 2, "bad circle token 'X'"),
+    "orbifold-corner-long": (f"[orbifold]\ncircle = M({LONG_INT}) B\n", 2, DIGIT_LIMIT),
+    "orbifold-key": ("[orbifold]\nsize = 3\n", 2, "unknown orbifold key 'size'"),
+    "orbifold-name-key": ("[orbifold]\nname x = 3\n", 2, "unknown orbifold key 'name x'"),
+    "gbs-name-no-equals": ("[gbs]\nname m3\n", 2, "expected key = value"),
+    "gbs-vertex-id": ("[gbs]\nvertex 1v\n", 2, "bad vertex id '1v'"),
+    "gbs-edge-syntax": (
+        "[gbs]\nedge e: v(2) - v(3)\n", 2, "bad edge syntax 'e: v(2) - v(3)'"
+    ),
+    "gbs-label-long": (f"[gbs]\nedge e: v({LONG_INT}) -- v(3)\n", 2, DIGIT_LIMIT),
+    "gbs-base-no-equals": ("[gbs]\nvertex u\nbase u\n", 3, "expected key = value"),
+    "gbs-tree-no-equals": ("[gbs]\nvertex u\ntree e\n", 3, "expected key = value"),
+    "gbs-word-no-equals": ("[gbs]\nvertex u\nword w a[u]\n", 3, "expected key = value"),
+    "gbs-word-name": ("[gbs]\nvertex u\nword = a[u]\n", 3, "bad word name ''"),
+    "master-keep-name": (
+        "[master]\nedge e: v(2) -- v(3)\nkeep 2K = e\n", 3, "bad keep name '2K'"
+    ),
+    "gbs-keep-line": (
+        "[gbs]\nedge e: v(2) -- v(3)\nkeep K = e\n", 3, "unknown gbs line 'keep K = e'"
+    ),
+    "master-unknown-line": ("[master]\nloop e\n", 2, "unknown master line 'loop e'"),
+    "atlas-vertex-id": ('[atlas]\nvertex "q": Z\n', 2, "bad vertex id '\"q\"'"),
+    "atlas-edge-link": (
+        "[atlas]\nvertex u\nedge f: u - u\n", 3, "bad atlas edge 'edge f: u - u'"
+    ),
+    "atlas-edge-id": ('[atlas]\nvertex u\nedge "f": u -- u\n', 3, "bad edge id '\"f\"'"),
+    "atlas-edge-attribute": (
+        "[atlas]\nvertex u\nedge f: u -- u, colour = red\n",
+        3,
+        "unknown edge attribute 'colour'",
+    ),
+    "atlas-edge-no-equals": (
+        "[atlas]\nvertex u\nedge f: u -- u, group Z\n", 3, "expected key = value"
+    ),
+    "atlas-class-id": (
+        "[atlas]\nvertex u\nclass u: f.o, plural = true\n", 3, "bad class id 'u'"
+    ),
+    "atlas-end-token": (
+        "[atlas]\nvertex u\nclass u.a: f.x, plural = true\n", 3, "bad end token 'f.x'"
+    ),
+    "atlas-class-bool": (
+        "[atlas]\nvertex u\nclass u.a: f.o, plural = maybe\n",
+        3,
+        "expected true or false, got 'maybe'",
+    ),
+    "atlas-class-attribute": (
+        "[atlas]\nvertex u\nclass u.a: f.o, colour = red\n",
+        3,
+        "unknown class attribute 'colour'",
+    ),
+    "atlas-unknown-line": ("[atlas]\nvertex u\nstar u\n", 3, "unknown atlas line 'star u'"),
+    "atlas-name-no-equals": ("[atlas]\nvertex u\nname\n", 3, "expected key = value"),
+}
+
+
+@pytest.mark.parametrize(
+    "text, line, message", SYNTAX_ERROR_CORPUS.values(), ids=SYNTAX_ERROR_CORPUS
+)
+def test_syntax_error_corpus(text, line, message):
+    with pytest.raises(DocumentSyntaxError) as exc:
+        cli_io.parse(text)
+    assert exc.value.line == line
+    prefix, _, shown = str(exc.value).partition(": ")
+    assert prefix.startswith(f"line {line}")
+    assert shown == message
 
 
 class TestRoundTrip:
@@ -457,6 +585,25 @@ def _long_word(*items):
     return sp.translation_length(_long_pair(), sp.GroupWord(U300, items))
 
 
+def _loop(eid, terminus="v", lam=2):
+    return sp.validate_graph(sp.LabeledGraph(("v",), (sp.Edge(eid, "v", terminus, lam, 3),)))
+
+
+def _skeleton(vertices, edges, *classes):
+    s = cyl.SkeletonGraph(
+        tuple(map(cyl.SkeletonVertex, vertices)), tuple(cyl.SkeletonEdge(*e) for e in edges)
+    )
+    return cyl.validate_atlas(s, cyl.CylinderAtlas(classes))
+
+
+def _unflagged_edge(v, local_class):
+    q = cyl.QuotientGraph((v,), (("Y1", "Z"),), (cyl.QEdge(v, local_class, "Y1", None),))
+    return cyl.collapse_non_A(q)
+
+
+X300 = "9" * 300  # no identifier, word letter, circle token or flag
+
+
 LONG_NAME_ERRORS = {
     "graph-edge": lambda: _long_pair().edge(E300),
     "tree-unknown-edge": lambda: sp.validate_graph(
@@ -488,6 +635,46 @@ LONG_NAME_ERRORS = {
     "keep-unknown-edge": lambda: cli_io.parse(
         f"[master]\nvertex v\nedge e: v(2) -- v(3)\nkeep {'K' * 300} = {E300}\n"
     ),
+    "graph-vertex-not-a-string": lambda: sp.validate_graph(sp.LabeledGraph(("v", (U300,)), ())),
+    "graph-unknown-vertex": lambda: _loop(E300, terminus="w"),
+    "graph-zero-label": lambda: _loop(E300, lam=0),
+    "graph-label-type": lambda: _loop(E300, lam=2.0),
+    "collapse-unknown-orbit": lambda: ta.collapse(ta.master(sp.bs(2, 3)), [E300]),
+    "atlas-unknown-vertex-orbit": lambda: _skeleton(("u",), ((E300, "u", "w"),)),
+    "atlas-reserved-id": lambda: _skeleton(("Y" + "1" * 299,), ()),
+    "atlas-no-ends": lambda: _long_skeleton(cyl.LocalClass(U300, "a", (), True, True)),
+    "atlas-no-plural": lambda: _long_skeleton(
+        cyl.LocalClass(U300, "a", ((E300, "o"),), None, True)
+    ),
+    "atlas-classed-twice": lambda: _long_skeleton(
+        cyl.LocalClass(U300, "a", ((E300, "o"),), True, True),
+        cyl.LocalClass(U300, "b", ((E300, "o"),), True, True),
+    ),
+    "collapse-non-A-unflagged": lambda: _unflagged_edge(U300, "a"),
+    "parse-header": lambda: cli_io.parse(f"[{X300}]\n"),
+    "parse-name-key": lambda: cli_io.parse(f"[gbs]\nname {X300} = m\n"),
+    "word-letter-line": lambda: cli_io.parse(f"[gbs]\nvertex v\nword w = {X300}\n"),
+    "word-letter-flag": lambda: cli_io.parse_letters(X300),
+    "word-exponent-long": lambda: cli_io.parse_letters("a[v]^" + "1" * 5000),
+    "word-crossing-exponent": lambda: cli_io.parse_letters(f"t[{E300}]^2"),
+    "orbifold-bool": lambda: cli_io.parse(f"[orbifold]\norientable = {X300}\n"),
+    "orbifold-circle-token": lambda: cli_io.parse(f"[orbifold]\ncircle = M {X300}\n"),
+    "orbifold-key": lambda: cli_io.parse(f"[orbifold]\n{X300} = 1\n"),
+    "gbs-vertex-id": lambda: cli_io.parse(f"[gbs]\nvertex {X300}\n"),
+    "gbs-edge-syntax": lambda: cli_io.parse(f"[gbs]\nedge {X300}\n"),
+    "gbs-word-name": lambda: cli_io.parse(f"[gbs]\nvertex v\nword {X300} = a[v]\n"),
+    "master-keep-name": lambda: cli_io.parse(f"[master]\nvertex v\nkeep {X300} = e\n"),
+    "gbs-line": lambda: cli_io.parse(f"[gbs]\n{X300}\n"),
+    "atlas-vertex-id": lambda: cli_io.parse(f"[atlas]\nvertex {X300}: Z\n"),
+    "atlas-edge": lambda: cli_io.parse(f"[atlas]\nedge e: {X300}\n"),
+    "atlas-edge-id": lambda: cli_io.parse(f"[atlas]\nedge {X300}: u -- v\n"),
+    "atlas-edge-attribute": lambda: cli_io.parse(f"[atlas]\nedge e: u -- v, {X300} = 1\n"),
+    "atlas-class-id": lambda: cli_io.parse(f"[atlas]\nclass {X300}: e.o\n"),
+    "atlas-end-token": lambda: cli_io.parse(f"[atlas]\nclass u.a: {X300}\n"),
+    "atlas-class-attribute": lambda: cli_io.parse(
+        f"[atlas]\nclass u.a: e.o, {X300} = 1\n"
+    ),
+    "atlas-line": lambda: cli_io.parse(f"[atlas]\n{X300}\n"),
 }
 
 
@@ -496,6 +683,61 @@ def test_long_names_clipped(call):
     with pytest.raises(SplittingsError) as info:
         call()
     assert "chars)" in str(info.value) and len(str(info.value)) <= 200
+
+
+# the messages above that echo a name whole at 40 characters or fewer;
+# the corpus of syntax errors pins the parser's
+SHORT_NAME_ERRORS = {
+    "graph-unknown-vertex": (
+        lambda: _loop("e", terminus="w"), "edge e attached to an unknown vertex"
+    ),
+    "graph-zero-label": (lambda: _loop("e", lam=0), "edge e carries a zero label"),
+    "graph-label-type": (
+        lambda: _loop("e", lam=2.0), "edge e carries the label 2.0; labels are nonzero integers"
+    ),
+    "collapse-unknown-orbit": (
+        lambda: ta.collapse(ta.master(sp.bs(2, 3)), ["zz"]), "unknown edge orbits ['zz']"
+    ),
+    "atlas-unknown-vertex-orbit": (
+        lambda: _skeleton(("u",), (("e", "u", "w"),)),
+        "edge e attached to an unknown vertex orbit",
+    ),
+    "atlas-reserved-id": (
+        lambda: _skeleton(("Y1",), ()),
+        "vertex orbit id 'Y1' is reserved: cylinder orbits are named Y1, Y2, ...",
+    ),
+    "atlas-no-ends": (
+        lambda: _skeleton(("u",), (), cyl.LocalClass("u", "a", (), True, True)),
+        "class u.a has no ends",
+    ),
+    "atlas-no-plural": (
+        lambda: _skeleton(
+            ("u",), (("e", "u", "u"),), cyl.LocalClass("u", "a", (("e", "o"),), None, True)
+        ),
+        "class ('u', 'a') has no plural flag",
+    ),
+    "atlas-classed-twice": (
+        lambda: _skeleton(
+            ("u",),
+            (("e", "u", "u"),),
+            cyl.LocalClass("u", "a", (("e", "o"),), True, True),
+            cyl.LocalClass("u", "b", (("e", "o"),), True, True),
+        ),
+        "end ('e', 'o') classed twice",
+    ),
+    "collapse-non-A-unflagged": (
+        lambda: _unflagged_edge("u", "a"), "edge (u, a) has no in_A flag"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, message", SHORT_NAME_ERRORS.values(), ids=SHORT_NAME_ERRORS
+)
+def test_short_names_shown_whole(call, message):
+    with pytest.raises(SplittingsError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestHostileInput:
@@ -1041,6 +1283,13 @@ ENVELOPE_CASES = [
     (("lattice", "verify", "m3.txt", "--words", "10"), "m3.txt", 0),
     (("cylinders", "quotient", "tripods.txt", "--collapse"), "tripods.txt", None),
 ]
+
+
+def test_one_version_string():
+    pyproject = (INPUTS.parent / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]*)"$', pyproject, re.MULTILINE)
+    assert version == sp.__version__
+    assert sp.report.TOOL_VERSION is sp.__version__
 
 
 class TestEnvelope:

@@ -49,6 +49,17 @@ class TestValidateGraph:
             with pytest.raises(SemanticError, match="labels are nonzero integers"):
                 sp.jsj_report(g)
 
+    @pytest.mark.parametrize("bad", [None, 1, ("v",), b"v"], ids=repr)
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    def test_id_not_a_string(self, kind, bad):
+        if kind == "vertex":
+            g = sp.LabeledGraph((bad,), ())
+        else:
+            g = sp.LabeledGraph(("v",), (sp.Edge(bad, "v", "v", 2, 3),))
+        with pytest.raises(SemanticError) as info:
+            sp.validate_graph(g)
+        assert str(info.value) == f"{kind} id {bad!r} is not a string"
+
     def test_long_base_clipped(self):
         g = sp.LabeledGraph(("v",), (sp.Edge("e", "v", "v", 1, 2),), base=LONG)
         with pytest.raises(SemanticError) as info:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import splittings as sp
-from splittings import gbs, tree_arithmetic as ta
+from splittings import cli_io, cylinders as cyl, gbs, tree_arithmetic as ta
 from splittings.gbs import Cross, Edge, Pow
 from splittings.orbifold import B, M, BoundaryCircle, Orbifold2
 
@@ -800,3 +800,106 @@ def test_reduce_preserves_surviving_loop_modulus(lam, mu, unit_mu):
     before = Fraction(g.edge("e").lam, g.edge("e").mu)
     after = Fraction(r.edge("e").lam, r.edge("e").mu)
     assert before == after
+
+
+# -- documents ---------------------------------------------------------------
+
+IDS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+# printable text without blanks at either end, as a stripped line keeps it;
+# an edge's group also holds no comma, which ends it
+TEXT = st.from_regex(r"[!-~]([ -~]{0,10}[!-~])?", fullmatch=True) | st.just("")
+GROUP = st.from_regex(r"[!-+\--~]([ -+\--~]{0,10}[!-+\--~])?", fullmatch=True) | st.just("")
+COMMENTS = st.lists(TEXT, max_size=2).map(tuple)
+
+
+@st.composite
+def spanning_trees(draw, g):
+    """The edge ids of a random spanning tree of g, in the order drawn."""
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    tree = []
+    for e in draw(st.permutations(g.edges)):
+        a, b = find(e.origin), find(e.terminus)
+        if a != b:
+            root[a] = b
+            tree.append(e.id)
+    return tuple(tree)
+
+
+@st.composite
+def graph_documents(draw, kind):
+    """A [gbs] or [master] document on a random graph with a random spanning
+    tree, words and, in a master, keeps."""
+    g, name = draw(gbs_graphs()), draw(TEXT)
+    g = sp.validate_graph(
+        sp.LabeledGraph(g.vertices, g.edges, g.base, draw(spanning_trees(g)), name)
+    )
+    words = draw(st.lists(st.tuples(IDS, letters_for(g).map(tuple)), max_size=3))
+    keeps = []
+    if kind == "master" and g.edges:
+        edge_ids = st.sampled_from([e.id for e in g.edges])
+        keeps = draw(st.lists(st.tuples(IDS, st.lists(edge_ids, max_size=3).map(tuple)), max_size=3))
+    spec = cli_io.GbsSpec(g, tuple(words), tuple(keeps))
+    return cli_io.Document(kind, spec, name, draw(COMMENTS))
+
+
+@st.composite
+def atlas_documents(draw):
+    """An [atlas] document on a connected skeleton, the ends at each vertex
+    orbit split at random into classes with random flags, and random
+    stabilizer labels."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    links = [(vs[draw(st.integers(0, i - 1))], vs[i]) for i in range(1, len(vs))]
+    links += draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=2))
+    edges = [
+        cyl.SkeletonEdge(f"e{i}", o, t, draw(GROUP))
+        for i, (o, t) in enumerate(draw(st.permutations(links)))
+    ]
+    ends = {v: [] for v in vs}
+    for e in edges:
+        ends[e.origin].append((e.id, "o"))
+        ends[e.terminus].append((e.id, "t"))
+    classes = []
+    for v in vs:
+        part = draw(st.lists(st.integers(0, 2), min_size=len(ends[v]), max_size=len(ends[v])))
+        for k in sorted(set(part)):
+            members = tuple(end for end, p in zip(ends[v], part) if p == k)
+            plural, in_a = draw(st.booleans()), draw(st.sampled_from((True, False, None)))
+            classes.append(cyl.LocalClass(v, "abc"[k], members, plural, in_a))
+    stabilizers = []
+    if edges:
+        edge_ids = st.sampled_from([e.id for e in edges])
+        stabilizers = draw(st.lists(st.tuples(edge_ids, TEXT), max_size=2))
+    name = draw(TEXT)
+    vertices = tuple(cyl.SkeletonVertex(v, draw(TEXT)) for v in vs)
+    skeleton = cyl.SkeletonGraph(vertices, tuple(edges), name)
+    atlas = cyl.CylinderAtlas(tuple(draw(st.permutations(classes))), tuple(stabilizers))
+    spec = cli_io.AtlasSpec(skeleton, atlas, tuple(cyl.validate_atlas(skeleton, atlas)))
+    return cli_io.Document("atlas", spec, name, draw(COMMENTS))
+
+
+DOCUMENTS = {
+    "gbs": graph_documents("gbs"),
+    "master": graph_documents("master"),
+    "orbifold": st.builds(
+        lambda o, name, comments: cli_io.Document("orbifold", o, name, comments),
+        orbifolds_strategy(),
+        TEXT,
+        COMMENTS,
+    ),
+    "atlas": atlas_documents(),
+}
+
+
+@pytest.mark.parametrize("kind", DOCUMENTS)
+@given(st.data())
+def test_document_round_trip(kind, data):
+    d = data.draw(DOCUMENTS[kind])
+    text = cli_io.serialize(d)
+    assert cli_io.parse(text) == d
+    assert cli_io.serialize(cli_io.parse(text)) == text
