@@ -242,6 +242,7 @@ def _parse_orbifold(body) -> orbifold.Orbifold2:
 
 def _parse_graph(body, kind: str, name: str) -> GbsSpec:
     vertices: list[str] = []
+    seen: set[str] = set()  # the vertices listed so far, for a linear parse
     edges: list[gbs.Edge] = []
     words: list[tuple[str, Letters]] = []
     keeps: list[tuple[str, tuple[str, ...]]] = []
@@ -252,12 +253,14 @@ def _parse_graph(body, kind: str, name: str) -> GbsSpec:
         rest = rest.strip()
         if head == "vertex":
             vertices.append(_match(_ID_RE, rest, "vertex id", line)[0])
+            seen.add(vertices[-1])
         elif head == "edge":
             eid, o, lam, t, mu = _match(_EDGE_RE, rest, "edge syntax", line).groups()
             lam, mu = _parse_int(lam, line), _parse_int(mu, line)
             for v in (o, t):
-                if v not in vertices:
+                if v not in seen:
                     vertices.append(v)
+                    seen.add(v)
             edges.append(gbs.Edge(eid, o, t, lam, mu))
         elif head == "base":
             base = _split_kv(text, line)[1]
@@ -503,38 +506,26 @@ def _named_word(spec, wtext: str, g: gbs.LabeledGraph) -> gbs.GroupWord:
     return gbs.make_word(g, parse_letters(wtext))
 
 
-def _verdict_fields(o: orbifold.Orbifold2) -> tuple[dict, Optional[str]]:
-    """The chi and hyperbolic fields and, when chi < 0, the small and
-    mapping-class-group fields of one orbifold, with chi computed once;
-    also the mapping-class-group note, if any."""
-    chi = orbifold.euler_characteristic(o)
-    fields = {"chi": rational_str(chi), "hyperbolic": chi < 0}
-    if chi >= 0:
-        return fields, None
-    sv = orbifold._small(o)
-    mv = orbifold._mcg(o)
-    fields["small"] = sv.small
-    fields["small_family"] = sv.family
-    fields["finite_mcg"] = mv.finite
-    fields["mcg_family"] = mv.family
-    return fields, mv.note
-
-
 def _cmd_orbifold_analyze(args, doc: Document, input_digest: str):
     o: orbifold.Orbifold2 = doc.payload
-    fields, note = _verdict_fields(o)
+    chi = orbifold.euler_characteristic(o)
+    hyp = chi < 0
     result: dict = {
         **envelope("orbifold.analyze", input_digest),
         "boundary_components": orbifold.boundary_components(o),
+        "chi": rational_str(chi),
+        "hyperbolic": hyp,
         "small": None,
         "small_family": None,
         "finite_mcg": None,
         "mcg_family": None,
-        **fields,
     }
-    if note:
-        result["mcg_note"] = note
-    hyp = result["hyperbolic"]
+    if hyp:
+        sv, mv = orbifold.is_small(o), orbifold.has_finite_mcg(o)
+        result.update(small=sv.small, small_family=sv.family)
+        result.update(finite_mcg=mv.finite, mcg_family=mv.family)
+        if mv.note:
+            result["mcg_note"] = mv.note
     if args.json:
         yield json_text(result)
     else:

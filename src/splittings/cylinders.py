@@ -115,6 +115,12 @@ def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
     """Structural checks plus the hypothesis manifest: the statements the
     user asserts and the computation cannot verify."""
     vids = s.vertex_ids()
+    for v in vids:
+        if not isinstance(v, str):
+            raise SemanticError(f"vertex orbit id {clipped_name(v)} is not a string")
+    for e in s.edges:
+        if not isinstance(e.id, str):
+            raise SemanticError(f"edge orbit id {clipped_name(e.id)} is not a string")
     if len(set(vids)) != len(vids):
         raise SemanticError("duplicate vertex orbit id")
     for v in vids:

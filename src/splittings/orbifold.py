@@ -297,9 +297,29 @@ class McgVerdict:
     note: Optional[str] = None
 
 
-def _is_mb(c: BoundaryCircle) -> bool:
-    """One mirror arc and one boundary segment."""
-    return c.kind == "mixed" and sorted(c.word) == [B, M]
+def _circle_counts(circles) -> tuple[int, int, int, int, int]:
+    """What the classifiers read of a circle multiset: the number of
+    circles, of plain circles, of simple circles and of MB circles (one
+    mirror arc and one boundary segment), and the mirror arcs of a lone
+    circle (0 unless there is exactly one circle)."""
+    return (
+        len(circles),
+        sum(c.is_plain() for c in circles),
+        sum(c.is_simple() for c in circles),
+        sum(c.kind == "mixed" and sorted(c.word) == [B, M] for c in circles),
+        circles[0].mirror_arcs() if len(circles) == 1 else 0,
+    )
+
+
+def _shape(orientable: bool, genus: int, cones, counts) -> tuple:
+    """The one input of _small and _mcg: ("S2" or "P2", number of cones,
+    *counts) on the orientable genus-0 and the non-orientable genus-1
+    surface, and () on any other, where both verdicts are negative."""
+    if orientable and genus == 0:
+        return ("S2", len(cones), *counts)
+    if not orientable and genus == 1:
+        return ("P2", len(cones), *counts)
+    return ()
 
 
 def is_small(o: Orbifold2) -> SmallVerdict:
@@ -313,29 +333,21 @@ def is_small(o: Orbifold2) -> SmallVerdict:
     """
     if not is_hyperbolic(o):
         raise NotHyperbolic("small-orbifold classification needs chi < 0")
-    return _small(o)
+    return _small(_shape(o.orientable, o.genus, o.cone_points, _circle_counts(o.circles)))
 
 
-def _small(o: Orbifold2) -> SmallVerdict:
-    """is_small for an orbifold already known to be hyperbolic."""
-    if not (o.orientable and o.genus == 0):
+def _small(shape: tuple) -> SmallVerdict:
+    """is_small for the shape of an orbifold known to be hyperbolic."""
+    if not shape or shape[0] != "S2":
         return SmallVerdict(False)
-    b = len(o.circles)
-    ncones = len(o.cone_points)
-    if all(c.is_plain() for c in o.circles):
-        if b + ncones == 3:
-            return SmallVerdict(True, 1)
-        return SmallVerdict(False)
-    if b == 1 and _is_mb(o.circles[0]) and ncones == 1:
+    _, ncones, b, plain, _, mb, arcs = shape
+    if plain == b and b + ncones == 3:
+        return SmallVerdict(True, 1)
+    if b == 1 and mb == 1 and ncones == 1:
         return SmallVerdict(True, 2)
-    if (
-        b == 2
-        and ncones == 0
-        and any(c.is_plain() for c in o.circles)
-        and any(_is_mb(c) for c in o.circles)
-    ):
+    if b == 2 and ncones == 0 and plain and mb:
         return SmallVerdict(True, 3)
-    if b == 1 and ncones == 0 and o.circles[0].mirror_arcs() == 3:
+    if b == 1 and ncones == 0 and arcs == 3:
         return SmallVerdict(True, 4)
     return SmallVerdict(False)
 
@@ -356,25 +368,24 @@ def has_finite_mcg(o: Orbifold2) -> McgVerdict:
     """
     if not is_hyperbolic(o):
         raise NotHyperbolic("mapping-class-group classification needs chi < 0")
-    return _mcg(o)
+    return _mcg(_shape(o.orientable, o.genus, o.cone_points, _circle_counts(o.circles)))
 
 
-def _mcg(o: Orbifold2) -> McgVerdict:
-    """has_finite_mcg for an orbifold already known to be hyperbolic."""
-    nonsimple = [c for c in o.circles if not c.is_simple()]
-    simple = [c for c in o.circles if c.is_simple()]
-    ncones = len(o.cone_points)
-    if o.orientable and o.genus == 0:
-        if not nonsimple and len(o.circles) + ncones == 3:
-            return McgVerdict(True, "S2_3")
-        if len(nonsimple) == 1 and len(simple) + ncones == 1:
-            return McgVerdict(True, "S2_2")
-        if len(nonsimple) == 1 and not simple and ncones == 0:
-            return McgVerdict(True, "S2_1")
-    if not o.orientable and o.genus == 1:
-        if not nonsimple and len(o.circles) + ncones == 2:
+def _mcg(shape: tuple) -> McgVerdict:
+    """has_finite_mcg for the shape of an orbifold known to be hyperbolic."""
+    if shape:
+        surface, ncones, b, _, simple, _, _ = shape
+        nonsimple = b - simple
+        if surface == "S2":
+            if not nonsimple and b + ncones == 3:
+                return McgVerdict(True, "S2_3")
+            if nonsimple == 1 and simple + ncones == 1:
+                return McgVerdict(True, "S2_2")
+            if nonsimple == 1 and not simple and ncones == 0:
+                return McgVerdict(True, "S2_1")
+        elif not nonsimple and b + ncones == 2:
             return McgVerdict(True, "P2_2")
-        if len(nonsimple) == 1 and not simple and ncones == 0:
+        elif nonsimple == 1 and not simple and ncones == 0:
             return McgVerdict(True, "P2_1")
     return McgVerdict(False, None, _MCG_NOTE)
 
@@ -489,11 +500,11 @@ def _census(
 ) -> _Census:
     """The census rows of enumerate_orbifolds, in its order, made one at a
     time. With classify given, a hyperbolic row's verdict is
-    classify(_small(o), _mcg(o)); both depend only on (orientable and genus
-    0, non-orientable and genus 1, number of cones, circle multiset), so it
-    is computed once per such key. chi is the surface term plus a cone part
-    and a circle part, each computed once per multiset, so a row costs one
-    lcm and one gcd.
+    classify(_small(shape), _mcg(shape)) for the row's _shape, which is all
+    that the two classifiers read, so it is computed once per shape; the
+    circle counts in the shape are taken once per circle multiset. chi is
+    the surface term plus a cone part and a circle part, each computed once
+    per multiset, so a row costs one lcm and one gcd.
 
     Negative budgets and budgets above CENSUS_MAX_BUDGET raise
     SemanticError before any work."""
@@ -519,6 +530,7 @@ def _census(
             sum(map(quarters.__getitem__, picks)), [x for i in picks for x in dens[i]]
         )
         circles_of_cost[sum(map(costs.__getitem__, picks))].append((j, *part))
+    circle_counts = [_circle_counts(q) for q in circle_sets] if classify else []
     cone_sets = sorted(
         cones
         for n in range(budget + 1)
@@ -536,26 +548,22 @@ def _census(
                             yield orientable, genus, i, circles_of_cost[rem]
 
     def rows():
-        verdicts: dict[tuple, dict] = {}
+        verdicts: dict[tuple, object] = {}
         for orientable, genus, i, circles in blocks():
             cones = cone_sets[i]
             cn, cd = cone_parts[i]
             # the surface's 2 - 2 * genus or 2 - genus, plus the cones
             bn = cn + (2 - 2 * genus if orientable else 2 - genus) * cd
-            memo = verdicts.setdefault(
-                (orientable and genus == 0, not orientable and genus == 1, len(cones)),
-                {},
-            )
             for j, qn, qd in circles:
                 d = math.lcm(cd, qd)
                 n = bn * (d // cd) + qn * (d // qd)
                 g = math.gcd(n, d)
                 verdict = None
                 if n < 0 and classify is not None:
-                    verdict = memo.get(j)
+                    key = _shape(orientable, genus, cones, circle_counts[j])
+                    verdict = verdicts.get(key)
                     if verdict is None:
-                        o = Orbifold2(orientable, genus, cones, circle_sets[j])
-                        verdict = memo[j] = classify(_small(o), _mcg(o))
+                        verdict = verdicts[key] = classify(_small(key), _mcg(key))
                 yield orientable, genus, i, j, n // g, d // g, verdict
 
     count = sum(len(circles) for *_, circles in blocks())

@@ -45,7 +45,9 @@ def collapse(m: MasterSplitting, kept: Iterable[str]) -> CollapseTree:
     kept = frozenset(kept)
     unknown = kept - set(m.orbits)
     if unknown:
-        raise SemanticError(f"unknown edge orbits {clipped_name(sorted(unknown))}")
+        # strings first, in order: ids of mixed types do not compare
+        names = sorted(unknown, key=lambda x: (not isinstance(x, str), str(x)))
+        raise SemanticError(f"unknown edge orbits {clipped_name(names)}")
     return CollapseTree(kept)
 
 

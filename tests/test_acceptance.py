@@ -96,6 +96,40 @@ def test_criterion_2_small_classifier_matches_pattern_set():
     assert time.monotonic() - start < 30.0
 
 
+def _mcg_oracle(o):
+    """Independent re-statement of has_finite_mcg's five patterns, coded
+    separately from the library's matcher: a pattern is the surface, the
+    number of non-simple circles and the number of features (cones and
+    simple circles, a simple circle being plain or one closed mirror)."""
+    if o.orientable and o.genus == 0:
+        surface = "S2"
+    elif not o.orientable and o.genus == 1:
+        surface = "P2"
+    else:
+        return (False, None)
+    nonsimple = [c for c in o.circles if c.kind == "mixed" and c.word != (M,)]
+    features = len(o.cone_points) + len(o.circles) - len(nonsimple)
+    family = {
+        ("S2", 0, 3): "S2_3",
+        ("S2", 1, 1): "S2_2",
+        ("S2", 1, 0): "S2_1",
+        ("P2", 0, 2): "P2_2",
+        ("P2", 1, 0): "P2_1",
+    }.get((surface, len(nonsimple), features))
+    return (family is not None, family)
+
+
+def test_criterion_2_mcg_classifier_matches_pattern_set():
+    families = set()
+    for o in sp.enumerate_orbifolds(6):
+        if not sp.is_hyperbolic(o):
+            continue
+        verdict = sp.has_finite_mcg(o)
+        assert (verdict.finite, verdict.family) == _mcg_oracle(o), o
+        families.add(verdict.family)
+    assert families == {None, "S2_3", "S2_2", "S2_1", "P2_2", "P2_1"}
+
+
 def test_criterion_3_oracle_agreement():
     start = time.monotonic()
     graphs = (

@@ -41,6 +41,27 @@ class TestParse:
         (e,) = g.edges
         assert (e.lam, e.mu) == (2, 4)
 
+    def test_gbs_vertex_order_is_first_appearance(self):
+        # vertex lines and edge ends list the vertices in the order they are met
+        d = cli_io.parse(
+            "[gbs]\nedge e: b(2) -- a(3)\nvertex c\nedge f: d(1) -- b(1)\nedge g: c(2) -- a(2)\n"
+        )
+        assert d.payload.graph.vertices == ("b", "a", "c", "d")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "vertex v\nvertex v\n",
+            "edge e: v(2) -- v(3)\nvertex v\n",
+            "vertex u\nedge e: u(1) -- v(2)\nvertex v\n",
+        ],
+    )
+    def test_gbs_vertex_line_repeating_a_vertex(self, body):
+        # an edge end lists a vertex only once, but a vertex line always lists it
+        with pytest.raises(SemanticError) as info:
+            cli_io.parse("[gbs]\n" + body)
+        assert str(info.value) == "duplicate vertex id"
+
     def test_orbifold_cones(self):
         d = cli_io.parse("[orbifold]\ncone = 2,3,7\n")
         assert d.kind == "orbifold"
@@ -636,6 +657,8 @@ LONG_NAME_ERRORS = {
         f"[master]\nvertex v\nedge e: v(2) -- v(3)\nkeep {'K' * 300} = {E300}\n"
     ),
     "graph-vertex-not-a-string": lambda: sp.validate_graph(sp.LabeledGraph(("v", (U300,)), ())),
+    "atlas-vertex-not-a-string": lambda: _skeleton(("v", (U300,)), ()),
+    "atlas-edge-not-a-string": lambda: _skeleton(("v",), (((E300,), "v", "v"),)),
     "graph-unknown-vertex": lambda: _loop(E300, terminus="w"),
     "graph-zero-label": lambda: _loop(E300, lam=0),
     "graph-label-type": lambda: _loop(E300, lam=2.0),

@@ -141,6 +141,20 @@ class TestValidateAtlas:
         )
         cyl.validate_atlas(renamed, cyl.CylinderAtlas(classes))
 
+    @pytest.mark.parametrize("bad", [None, 1, ("v",), b"v"], ids=repr)
+    @pytest.mark.parametrize("kind", ["vertex", "edge"])
+    def test_id_not_a_string(self, kind, bad):
+        if kind == "vertex":
+            s = cyl.SkeletonGraph((cyl.SkeletonVertex(bad),), ())
+            a = cyl.CylinderAtlas(())
+        else:
+            s = cyl.SkeletonGraph((cyl.SkeletonVertex("v"),), (cyl.SkeletonEdge(bad, "v", "v"),))
+            ends = ((bad, "o"), (bad, "t"))
+            a = cyl.CylinderAtlas((cyl.LocalClass("v", "a", ends, True, True),))
+        with pytest.raises(SemanticError) as info:
+            cyl.validate_atlas(s, a)
+        assert str(info.value) == f"{kind} orbit id {bad!r} is not a string"
+
     def test_unknown_stabilizer_edge(self):
         s, a = torus_cycle()
         with pytest.raises(SemanticError):

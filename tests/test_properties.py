@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -849,15 +850,16 @@ def graph_documents(draw, kind):
 
 
 @st.composite
-def atlas_documents(draw):
+def atlas_documents(draw, text=TEXT, group=GROUP):
     """An [atlas] document on a connected skeleton, the ends at each vertex
     orbit split at random into classes with random flags, and random
-    stabilizer labels."""
+    stabilizer labels; vertex groups and stabilizer labels are drawn from
+    text and edge groups from group."""
     vs = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
     links = [(vs[draw(st.integers(0, i - 1))], vs[i]) for i in range(1, len(vs))]
     links += draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=2))
     edges = [
-        cyl.SkeletonEdge(f"e{i}", o, t, draw(GROUP))
+        cyl.SkeletonEdge(f"e{i}", o, t, draw(group))
         for i, (o, t) in enumerate(draw(st.permutations(links)))
     ]
     ends = {v: [] for v in vs}
@@ -874,9 +876,9 @@ def atlas_documents(draw):
     stabilizers = []
     if edges:
         edge_ids = st.sampled_from([e.id for e in edges])
-        stabilizers = draw(st.lists(st.tuples(edge_ids, TEXT), max_size=2))
+        stabilizers = draw(st.lists(st.tuples(edge_ids, text), max_size=2))
     name = draw(TEXT)
-    vertices = tuple(cyl.SkeletonVertex(v, draw(TEXT)) for v in vs)
+    vertices = tuple(cyl.SkeletonVertex(v, draw(text)) for v in vs)
     skeleton = cyl.SkeletonGraph(vertices, tuple(edges), name)
     atlas = cyl.CylinderAtlas(tuple(draw(st.permutations(classes))), tuple(stabilizers))
     spec = cli_io.AtlasSpec(skeleton, atlas, tuple(cyl.validate_atlas(skeleton, atlas)))
@@ -903,3 +905,45 @@ def test_document_round_trip(kind, data):
     text = cli_io.serialize(d)
     assert cli_io.parse(text) == d
     assert cli_io.serialize(cli_io.parse(text)) == text
+
+
+# labels rich in what a quoted DOT string escapes, and in text that looks
+# like an escape: a backslash before "n" or before a quote
+DOT_LABELS = TEXT | st.text(st.sampled_from('"\\n Z'), max_size=8)
+DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def read_dot_strings(dot):
+    """Every quoted string of DOT text, in order, read back: an escaped
+    backslash or quote is the character itself and an escaped n separates
+    a node's id from its label."""
+    escapes = {"\\": "\\", '"': '"', "n": "\n"}
+    return [
+        re.sub(r"\\(.)", lambda m: escapes[m[1]], quoted)
+        for quoted in DOT_STRING.findall(dot)
+    ]
+
+
+def labelled(node, label):
+    return f"{node}\n{label}" if label else node
+
+
+@given(atlas_documents(text=DOT_LABELS, group=DOT_LABELS))
+def test_dot_labels_read_back(d):
+    s, a = d.payload.skeleton, d.payload.atlas
+    expected = []
+    for v in s.vertices:
+        expected += [v.id, labelled(v.id, v.group)]
+    for e in s.edges:
+        expected += [e.origin, e.terminus] + ([e.group] if e.group else [])
+    assert read_dot_strings(cli_io.export_dot(s)) == expected
+    # one stabilizer label per cylinder orbit, as the quotient asks
+    orbit_of = {eid: part for part in cyl.cylinder_orbits(s, a) for eid in part}
+    labels = {orbit_of[eid]: (eid, label) for eid, label in a.stabilizers}
+    q = cyl.tree_of_cylinders_quotient(s, dataclasses.replace(a, stabilizers=tuple(labels.values())))
+    expected = list(q.v0)
+    for yid, label in q.v1:
+        expected += [yid, labelled(yid, label)]
+    for e in q.edges:
+        expected += [e.v0, e.cyl, e.local_class]
+    assert read_dot_strings(cli_io.export_dot(q)) == expected

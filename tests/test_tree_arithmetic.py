@@ -28,6 +28,20 @@ class TestLattice:
         with pytest.raises(SemanticError):
             K(m, "zz")
 
+    @pytest.mark.parametrize(
+        "kept, shown",
+        [
+            (["zz", "e", "ab"], "['ab', 'zz']"),
+            ([None, "zz"], "['zz', None]"),
+            ([None, "e", 1, "zz", b"e", ("e",)], "['zz', ('e',), 1, None, b'e']"),
+        ],
+    )
+    def test_collapse_names_unknown_ids(self, m, kept, shown):
+        # strings in their order, then ids of other types: those do not compare
+        with pytest.raises(SemanticError) as info:
+            ta.collapse(m, kept)
+        assert str(info.value) == f"unknown edge orbits {shown}"
+
     @pytest.mark.parametrize("kept", ["e", "ee", "ef", ""])
     def test_collapse_refuses_a_string(self, m, kept):
         # read as its characters, "ee" would keep {e} and "ef" {e, f}
