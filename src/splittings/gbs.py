@@ -305,12 +305,9 @@ def tree_path(g: LabeledGraph, frm: str, to: str) -> list[Cross]:
     frm to the lowest common ancestor, then down to `to`."""
     g = validate_graph(g)
     parent, depth = g.index.parent, g.index.depth
-    try:
-        for v in (frm, to):
-            if v not in depth:
-                raise InvalidPath(f"unknown vertex {clipped_name(v)}")
-    except TypeError:  # an unhashable v names no vertex
-        raise InvalidPath(f"unknown vertex {clipped_name(v)}") from None
+    for v in (frm, to):
+        if not _is_vertex(g, v):
+            raise InvalidPath(f"unknown vertex {clipped_name(v)}")
     ups: list[Cross] = []
     downs: list[Cross] = []
     while depth[frm] > depth[to]:
@@ -463,32 +460,35 @@ def _malformed(item) -> InvalidPath:
     )
 
 
-def _cyclic_reduce(g: LabeledGraph, linear) -> tuple[list[tuple[Cross, int]], str, int]:
-    """Cyclic pinch removal on the crossing list; returns the cyclic pair
-    list, plus the vertex and exponent of the residual power (the whole
-    element when the list empties). The linear pass left no pinch inside
-    the list, so only the wrap adjacency (last, first) can pinch, and
-    removing that pair exposes the next wrap: O(n) pops at both ends."""
+def _cyclic_reduce(g: LabeledGraph, linear) -> tuple[list[tuple[Cross, int, str]], str, int]:
+    """Cyclic pinch removal on the linear pass's crossing entries; returns
+    the cyclic entries, plus the vertex and exponent of the residual power
+    (the whole element when the entries empty). The cyclic word starts at
+    the last entry's vertex, where its first crossing departs, so that
+    vertex is the residual vertex when crossings remain. The linear pass
+    left no pinch inside the list, so only the wrap adjacency (last, first)
+    can pinch, and removing that pair exposes the next wrap: O(n) pops at
+    both ends."""
     p0 = linear[0][1]
     if len(linear) == 1:
         return [], linear[0][2], p0
-    pairs = deque((c, p) for (c, p, _) in linear[1:])
-    c, p = pairs.pop()
-    pairs.append((c, p + p0))
-    while len(pairs) >= 2:
-        ci, qi = pairs[-1]
-        cj, qj = pairs[0]
-        _, rev, _, arr, d, a = _move(g, cj)
+    entries = deque(linear[1:])
+    c, p, v = entries.pop()
+    entries.append((c, p + p0, v))
+    while len(entries) >= 2:
+        ci, qi, _ = entries[-1]
+        cj, qj, vj = entries[0]
+        _, rev, _, _, d, a = _move(g, cj)
         if ci is not rev or qi % d != 0:
             break
-        pairs.pop()
-        pairs.popleft()
+        entries.pop()
+        entries.popleft()
         carry = qi // d * a
-        if not pairs:
-            return [], arr, carry + qj
-        c, p = pairs.pop()
-        pairs.append((c, p + carry + qj))
-    return list(pairs), _move(g, pairs[0][0])[2], 0
+        if not entries:
+            return [], vj, carry + qj
+        c, p, v = entries.pop()
+        entries.append((c, p + carry + qj, v))
+    return list(entries), entries[-1][2], 0
 
 
 def _reduce(g: LabeledGraph, w: GroupWord):
@@ -509,39 +509,26 @@ def _reduce(g: LabeledGraph, w: GroupWord):
     return g, linear, cyclic
 
 
-def _word_from_linear(base: str, linear) -> GroupWord:
-    items: list[Item] = []
-    if linear[0][1] != 0:
-        items.append(Pow(base, linear[0][1]))
-    for c, p, v in linear[1:]:
+def _word_from(base: str, power: int, entries) -> GroupWord:
+    """The word at base of a power there followed by (crossing, power,
+    vertex) entries: the normal-form words of both passes."""
+    items: list[Item] = [Pow(base, power)] if power else []
+    for c, p, v in entries:
         items.append(c)
         if p != 0:
             items.append(Pow(v, p))
     return GroupWord(base, tuple(items))
 
 
-def _word_from_cyclic(g: LabeledGraph, pairs, res_vertex: str, res_power: int) -> GroupWord:
-    if not pairs:
-        items = (Pow(res_vertex, res_power),) if res_power else ()
-        return GroupWord(res_vertex, items)
-    base = _move(g, pairs[0][0])[2]
-    items: list[Item] = []
-    for c, p in pairs:
-        items.append(c)
-        if p != 0:
-            items.append(Pow(_move(g, c)[3], p))
-    return GroupWord(base, tuple(items))
-
-
 def britton_reduce(g: LabeledGraph, w: GroupWord) -> NormalForm:
     """Britton-reduce w, then cyclically reduce it. Terminates because every
     pinch removes two crossings."""
-    g, linear, (pairs, res_v, res_p) = _reduce(g, w)
+    _, linear, (entries, res_v, res_p) = _reduce(g, w)
     return NormalForm(
-        word=_word_from_linear(w.base, linear),
-        cyclic_word=_word_from_cyclic(g, pairs, res_v, res_p),
-        cyclically_reduced=(len(linear) - 1 == len(pairs)),
-        crossing_sequence=tuple([c.edge for c, _ in pairs]),
+        word=_word_from(w.base, linear[0][1], linear[1:]),
+        cyclic_word=_word_from(res_v, res_p, entries),
+        cyclically_reduced=(len(linear) - 1 == len(entries)),
+        crossing_sequence=tuple([c.edge for c, _, _ in entries]),
     )
 
 
@@ -550,14 +537,14 @@ def crossing_sequence(g: LabeledGraph, w: GroupWord) -> list[str]:
     without building the words of the normal form. Length queries run this
     once per word; a list rather than a tuple because CPython 3.11 keeps
     freed 20-item tuples on a free list it never reuses."""
-    _, _, (pairs, _, _) = _reduce(g, w)
-    return [c.edge for c, _ in pairs]
+    _, _, (entries, _, _) = _reduce(g, w)
+    return [c.edge for c, _, _ in entries]
 
 
 def translation_length(g: LabeledGraph, w: GroupWord) -> int:
     """Crossing count of the cyclically reduced form; 0 iff elliptic."""
-    _, _, (pairs, _, _) = _reduce(g, w)
-    return len(pairs)
+    _, _, (entries, _, _) = _reduce(g, w)
+    return len(entries)
 
 
 def is_elliptic(g: LabeledGraph, w: GroupWord) -> bool:
@@ -627,8 +614,7 @@ def _elements(g: LabeledGraph, max_len: int) -> Iterator[tuple[GroupWord, list[s
                     continue
                 seen.add(key)
                 w = GroupWord(g.base, items + route)
-                _, _, (pairs, _, _) = _reduce(g, w)
-                yield w, [c.edge for c, _ in pairs]
+                yield w, crossing_sequence(g, w)
                 nxt.append((w.items, key, i ^ 1))
         frontier = nxt
 

@@ -406,6 +406,27 @@ class TestRandomAtlases:
             return
         q = cyl.tree_of_cylinders_quotient(s, a)
         assert len(q.v1) == len(orbits)
+        # the V0 rule: a vertex orbit is in V0 exactly when it has two or
+        # more classes or a plural class; a V0 vertex has one edge per
+        # class, to the cylinder of every end of that class; any other
+        # vertex orbit is absorbed into its one class's cylinder
+        cylinder_of = {e: f"Y{i}" for i, orbit in enumerate(orbits, 1) for e in orbit}
+        classes_at = {v.id: [] for v in s.vertices}
+        for k in a.classes:
+            (y,) = {cylinder_of[eid] for eid, _ in k.ends}
+            classes_at[k.vertex].append((k, y))
+        v0, q_edges, absorbed = set(), set(), set()
+        for v, ks in classes_at.items():
+            if len(ks) >= 2 or any(k.plural for k, _ in ks):
+                v0.add(v)
+                q_edges |= {(v, k.name, y, k.in_A) for k, y in ks}
+            else:
+                ((_, y),) = ks
+                absorbed.add((v, y))
+        assert set(q.v0) == v0 and len(q.v0) == len(v0)
+        assert {(e.v0, e.local_class, e.cyl, e.in_A) for e in q.edges} == q_edges
+        assert len(q.edges) == len(q_edges)
+        assert set(q.absorbed) == absorbed and len(q.absorbed) == len(absorbed)
         nodes = [("V0", v) for v in q.v0] + [("V1", y) for y, _ in q.v1]
         merged = bfs_components(
             nodes, [(("V0", e.v0), ("V1", e.cyl)) for e in q.edges if not e.in_A]

@@ -264,6 +264,20 @@ class TestBrittonReduce:
         nf = sp.britton_reduce(bs23, w)
         assert nf.crossing_sequence == ("e",) and not nf.cyclically_reduced
 
+    def test_cyclic_word_of_elliptic_sits_at_its_vertex(self, m3):
+        # f a[v] f^-1 at base u: the wrap pinch leaves a power at v, not at u
+        nf = sp.britton_reduce(m3, W(m3, ("a", "v", 1)))
+        assert nf.cyclic_word == GroupWord("v", (Pow("v", 1),))
+
+    def test_cyclic_word_starts_where_its_first_crossing_departs(self, m3):
+        # a[u] f a[v] f^-1: odd powers block the wrap, so the cyclic word
+        # starts with f at u and carries the leading power at its end
+        nf = sp.britton_reduce(m3, W(m3, ("a", "u", 1), ("a", "v", 1)))
+        assert nf.cyclic_word == GroupWord(
+            "u", (Cross("f", 1), Pow("v", 1), Cross("f", -1), Pow("u", 1))
+        )
+        assert nf.cyclically_reduced and nf.crossing_sequence == ("f", "f")
+
 
 class TestTranslationLength:
     def test_vertex_generator_elliptic(self, bs12):

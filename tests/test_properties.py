@@ -523,6 +523,22 @@ def test_cyclic_form_has_no_pinch(gw):
         assert not (cj == Cross(ci.edge, -ci.sign) and p % d == 0)
 
 
+@given(graph_with_words(2))
+def test_cyclic_word_is_a_fixed_point(gw):
+    # the cyclic word is a closed path at its own base, its length is the
+    # crossing count, and reducing it again gives it back unchanged
+    g, (w, c) = gw
+    conj = sp.concat(sp.concat(c, w), sp.inverse(c))
+    nf = sp.britton_reduce(g, conj)
+    cyclic = nf.cyclic_word
+    sp.validate_word(g, cyclic)
+    assert sp.translation_length(g, cyclic) == len(nf.crossing_sequence)
+    again = sp.britton_reduce(g, cyclic)
+    assert again.word == again.cyclic_word == cyclic
+    assert again.cyclically_reduced
+    assert again.crossing_sequence == nf.crossing_sequence
+
+
 HYPERBOLIC_POOL = [
     w
     for w in sp.sample_words(BS23, 400, 6, seed=97)
