@@ -683,7 +683,7 @@ def _cmd_lattice_verify(args, doc: Document, input_digest: str):
             f" E = {len(m.orbits)} edges is over the cap LATTICE_MAX_EDGES ="
             f" {LATTICE_MAX_EDGES}; name the collapses to compare with keep lines"
         )
-    words = gbs.sample_words(m.graph, args.words, args.maxlen, args.seed)
+    words = gbs._sampled_words(m.graph, args.words, args.maxlen, args.seed)
     keeps = spec.keeps
     if not keeps:
         masks = range(1 << len(m.orbits))
@@ -691,7 +691,7 @@ def _cmd_lattice_verify(args, doc: Document, input_digest: str):
         keeps = [("{" + ",".join(kept) + "}", kept) for kept in subsets]
     collapses = [tree_arithmetic.collapse(m, ids) for _, ids in keeps]
     rep = Report(operation="lattice.verify", input_digest=input_digest, seed=args.seed)
-    rep.values["words"] = str(len(words))
+    rep.values["words"] = str(args.words)
     rep.values["maxlen"] = str(args.maxlen)
     rep.values["collapses"] = str(len(collapses))
     failed = tree_arithmetic.verify_modularity(m, collapses, words)

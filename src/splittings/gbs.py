@@ -104,8 +104,17 @@ class GraphIndex:
 
 def graph(vertices: Iterable[str], edges: Iterable[tuple], name: str = "") -> LabeledGraph:
     """Convenience constructor; edges are (id, origin, terminus, lam, mu)."""
-    es = tuple(Edge(*t) for t in edges)
-    return validate_graph(LabeledGraph(tuple(vertices), es, name=name))
+    es = []
+    t = edges  # named when the edges cannot be iterated
+    try:
+        for t in edges:
+            es.append(Edge(*t))
+    except TypeError:  # not an (id, origin, terminus, lam, mu) tuple
+        raise SemanticError(
+            f"malformed edge {clipped(repr(t), str)}; edges are"
+            " (id, origin, terminus, lam, mu) tuples"
+        ) from None
+    return validate_graph(LabeledGraph(tuple(vertices), tuple(es), name=name))
 
 
 def bs(m: int, n: int) -> LabeledGraph:
@@ -284,6 +293,8 @@ def inverse(w: GroupWord) -> GroupWord:
 
 
 def power(w: GroupWord, n: int) -> GroupWord:
+    if not isinstance(n, int):
+        raise SemanticError(f"power exponent must be an integer, got {clipped(repr(n), str)}")
     if n < 0:
         return power(inverse(w), -n)
     return GroupWord(w.base, w.items * n)
@@ -619,27 +630,62 @@ def _elements(g: LabeledGraph, max_len: int) -> Iterator[tuple[GroupWord, list[s
         frontier = nxt
 
 
-def irreducibility_witness(
-    g: LabeledGraph, L: int = DEFAULT_SEARCH_BUDGET
-) -> Optional[tuple[GroupWord, GroupWord]]:
+@dataclass(frozen=True)
+class SearchOutcome:
+    """Why a word search stopped. stop is "found" (witness holds the pair),
+    "exhausted" (every element up to the bound was tried, none witnessed)
+    or "proved_none" (no witness exists at any bound; nothing was tried)."""
+
+    stop: str
+    witness: Optional[tuple[GroupWord, GroupWord]]
+    elements_tried: int
+
+
+def irreducibility_search(g: LabeledGraph, L: int = DEFAULT_SEARCH_BUDGET) -> SearchOutcome:
     """Search the group elements spelled by letter words of length <= L,
     each once (a word spelling an element already tried is skipped), for
-    hyperbolic w1, w2 whose commutator is hyperbolic; finding one certifies
-    irreducibility, finding none only exhausts the budget (a
-    semi-decision)."""
+    hyperbolic w1, w2 whose commutator is hyperbolic. An elementary group
+    (Z, Z^2, the Klein bottle group, BS(1,n)) has none: its action on the
+    Bass-Serre tree fixes a point or an end, or preserves a line, so the
+    commutator of two hyperbolic elements is elliptic (Culler-Morgan
+    1987). Hyperbolicity depends only on the deformation space, which
+    classify_elementary reads off the reduced graph, so such a graph is
+    answered without a walk. On any other graph a witness certifies
+    irreducibility, and finding none only exhausts the budget.
+
+    >>> irreducibility_search(bs(1, 2), 6)
+    SearchOutcome(stop='proved_none', witness=None, elements_tried=0)
+    >>> out = irreducibility_search(bs(2, 3), 6)
+    >>> out.stop, out.witness is not None
+    ('found', True)
+    """
     require_nonnegative("search length bound L", L)
     g = validate_graph(g)
+    if classify_elementary(g).kind != "generic":
+        return SearchOutcome("proved_none", None, 0)
+    tried = 0
     pool: list[tuple[GroupWord, GroupWord]] = []  # (element, its inverse)
     for w, seq in _elements(g, L):
+        tried += 1
         if not seq:
             continue
         w_inv = inverse(w)
         for w1, w1_inv in pool:
             comm = concat(concat(w1, w), concat(w1_inv, w_inv))
             if not is_elliptic(g, comm):
-                return (w1, w)
+                return SearchOutcome("found", (w1, w), tried)
         pool.append((w, w_inv))
-    return None
+    return SearchOutcome("exhausted", None, tried)
+
+
+def irreducibility_witness(
+    g: LabeledGraph, L: int = DEFAULT_SEARCH_BUDGET
+) -> Optional[tuple[GroupWord, GroupWord]]:
+    """The witness of irreducibility_search(g, L): hyperbolic w1, w2 whose
+    commutator is hyperbolic, among the group elements spelled by letter
+    words of length <= L. A witness certifies irreducibility; None means
+    the graph is elementary or the budget ran out (a semi-decision)."""
+    return irreducibility_search(g, L).witness
 
 
 def modular_homomorphism(g: LabeledGraph, w: GroupWord) -> Fraction:
@@ -1041,6 +1087,15 @@ def sample_words(
 ) -> list[GroupWord]:
     """count random words of 1..max_len surface letters each: vertex powers
     with exponents in [-3, 3] minus zero, or edge crossings."""
+    return list(_sampled_words(g, count, max_len, seed))
+
+
+def _sampled_words(
+    g: LabeledGraph, count: int, max_len: int, seed: int
+) -> Iterator[GroupWord]:
+    """The words of sample_words, each drawn when it is read, so a reader
+    that keeps only what it needs of a word holds one word at a time. The
+    bounds, the graph and the seed are checked at the call."""
     require_nonnegative("sampled word count", count)
     if not isinstance(max_len, int):
         raise SemanticError(
@@ -1049,17 +1104,25 @@ def sample_words(
     if max_len < 1:
         raise SemanticError(f"sampled words need a length bound >= 1, got {int_text(max_len)}")
     g = validate_graph(g)
-    rng = random.Random(seed)
-    words = []
-    for _ in range(count):
-        letters = []
-        for _ in range(rng.randint(1, max_len)):
-            if g.edges and rng.random() < 0.5:
-                e = rng.choice(g.edges)
-                letters.append(("t", e.id, rng.choice((1, -1))))
-            else:
-                v = rng.choice(g.vertices)
-                n = rng.choice((-3, -2, -1, 1, 2, 3))
-                letters.append(("a", v, n))
-        words.append(make_word(g, letters))
-    return words
+    try:
+        rng = random.Random(seed)
+    except TypeError:  # random takes None, int, float, str, bytes or bytearray
+        raise SemanticError(
+            "sampled words need a seed that is None, a number, a string or bytes,"
+            f" got {clipped(repr(seed), str)}"
+        ) from None
+    return (make_word(g, _random_letters(g, rng, max_len)) for _ in range(count))
+
+
+def _random_letters(g: LabeledGraph, rng: random.Random, max_len: int) -> list[tuple]:
+    """The surface letters of one sampled word, drawn from rng."""
+    letters = []
+    for _ in range(rng.randint(1, max_len)):
+        if g.edges and rng.random() < 0.5:
+            e = rng.choice(g.edges)
+            letters.append(("t", e.id, rng.choice((1, -1))))
+        else:
+            v = rng.choice(g.vertices)
+            n = rng.choice((-3, -2, -1, 1, 2, 3))
+            letters.append(("a", v, n))
+    return letters

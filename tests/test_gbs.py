@@ -346,17 +346,32 @@ class TestIrreducibility:
         assert not sp.is_elliptic(bs23, w1)
         assert not sp.is_elliptic(bs23, w2)
         assert not sp.is_elliptic(bs23, comm)
+        out = sp.irreducibility_search(bs23, 6)
+        assert out.stop == "found" and out.witness == wit
+        assert out.elements_tried >= 2
 
     def test_abelian_loop_has_none(self, bs11):
         assert sp.irreducibility_witness(bs11, 5) is None
+        assert sp.irreducibility_search(bs11, 5) == sp.SearchOutcome("proved_none", None, 0)
 
     def test_elementary_loops_have_none_deeper(self, bs11, bs12):
         # every commutator is elliptic in Z^2 and in BS(1,2)
         assert sp.irreducibility_witness(bs11, 6) is None
         assert sp.irreducibility_witness(bs12, 5) is None
+        for g in (bs11, bs12):
+            out = sp.irreducibility_search(g, 6)
+            assert (out.stop, out.elements_tried) == ("proved_none", 0)
 
     def test_zero_budget(self, bs23):
         assert sp.irreducibility_witness(bs23, 0) is None
+        assert sp.irreducibility_search(bs23, 0) == sp.SearchOutcome("exhausted", None, 0)
+
+    def test_generic_graph_exhausts_its_budget(self, bs23):
+        # at L = 1 BS(2,3) offers the hyperbolic t and t^-1, which commute;
+        # the walk tries a, a^-1, t, t^-1
+        out = sp.irreducibility_search(bs23, 1)
+        assert out == sp.SearchOutcome("exhausted", None, 4)
+        assert sp.irreducibility_witness(bs23, 1) is None
 
 
 class TestElementSearch:
@@ -633,6 +648,12 @@ BAD_ARGUMENTS = [
     ("unhashable base, one letter", lambda: sp.make_word(sp.bs(2, 3), [("a", "v", 1)], base=[1])),
     ("unhashable word base", lambda: sp.translation_length(sp.bs(2, 3), GroupWord(["v"], ()))),
     ("unhashable tree path vertex", lambda: gbs.tree_path(sp.bs(2, 3), [1], "v")),
+    ("power exponent 1.5", lambda: sp.power(W(sp.bs(2, 3), ("t", "e", 1)), 1.5)),
+    ("sampled word seed [1]", lambda: gbs.sample_words(sp.bs(2, 3), 1, 2, [1])),
+    ("edge of two fields", lambda: sp.graph(("v",), (("e", "v"),))),
+    # checked before the elementary short cut can answer
+    ("irreducibility L -1 on BS(1,2)", lambda: gbs.irreducibility_witness(sp.bs(1, 2), -1)),
+    ("irreducibility L 1.5 on BS(1,2)", lambda: gbs.irreducibility_witness(sp.bs(1, 2), 1.5)),
 ]
 
 

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import splittings as sp
 from splittings import cli_io, cylinders as cyl, gbs, tree_arithmetic as ta
@@ -817,6 +817,98 @@ def test_reduce_preserves_surviving_loop_modulus(lam, mu, unit_mu):
     before = Fraction(g.edge("e").lam, g.edge("e").mu)
     after = Fraction(r.edge("e").lam, r.edge("e").mu)
     assert before == after
+
+
+# -- the elementary short cut of the irreducibility search -------------------
+
+def reference_witness(g, L):
+    # the irreducibility search without its short cut: the element walk and
+    # the pair loop, with no classification of the graph. Commutators are
+    # spelled by the Britton normal forms, which are shorter than the
+    # walk's tree-routed words; the witness is given as the walk's words.
+    pool = []  # (walk word, normal form, its inverse)
+    for w, seq in gbs._elements(g, L):
+        if not seq:
+            continue
+        nf = sp.britton_reduce(g, w).word
+        nf_inv = sp.inverse(nf)
+        for w1, nf1, nf1_inv in pool:
+            if not sp.is_elliptic(g, sp.concat(sp.concat(nf1, nf), sp.concat(nf1_inv, nf_inv))):
+                return w1, w
+        pool.append((w, nf, nf_inv))
+    return None
+
+
+@st.composite
+def elementary_graphs(draw):
+    """(kind, n, graph): Z, a BS(1,n) loop (n = 1 is Z^2, n = -1 the Klein
+    bottle group) or the +-2/+-2 Klein amalgam, grown by up to two random
+    elementary expansions. An expansion at a vertex v picks k and moves to
+    a new vertex u some ends at v whose labels k divides, dividing them by
+    k, and joins u to v by an edge labelled +-1 at u and k times that at v,
+    so that collapsing it gives the graph back; when it moves no end, the
+    new edge is a pendant +-1 edge."""
+    start = draw(st.sampled_from(("Z", "BS1n", "amalgam")))
+    n = None
+    if start == "Z":
+        vs, edges, kind = ["v"], [], "Z"
+    elif start == "BS1n":
+        n = draw(st.sampled_from((1, -1, 2, -2, 3, -4, 6)))
+        unit = draw(st.sampled_from((1, -1)))
+        ends = [unit, n * unit]
+        if draw(st.booleans()):
+            ends.reverse()
+        vs, edges = ["v"], [["e", "v", "v", *ends]]
+        kind = {1: "Z2", -1: "Klein"}.get(n, "BS1n")
+        if kind != "BS1n":
+            n = None
+    else:
+        signs = draw(st.sampled_from(((1, 1), (1, -1), (-1, 1), (-1, -1))))
+        vs, edges = ["u", "v"], [["e", "u", "v", 2 * signs[0], 2 * signs[1]]]
+        kind = "Klein"
+    for i in range(draw(st.integers(0, 2))):
+        v = draw(st.sampled_from(vs))
+        k = draw(st.sampled_from((1, -1, 2, -2, 3)))
+        u = f"w{i}"
+        for e in edges:
+            for side in (1, 2):  # origin, terminus; a loop has both at v
+                if e[side] == v and e[side + 2] % k == 0 and draw(st.booleans()):
+                    e[side], e[side + 2] = u, e[side + 2] // k
+        s = draw(st.sampled_from((1, -1)))
+        new = [f"x{i}", u, v, s, k * s]
+        if draw(st.booleans()):
+            new = [new[0], v, u, k * s, s]
+        vs.append(u)
+        edges.append(new)
+    edges = draw(st.permutations([Edge(*e) for e in edges]))
+    base = draw(st.sampled_from(vs))
+    return kind, n, sp.validate_graph(sp.LabeledGraph(tuple(vs), tuple(edges), base))
+
+
+@given(elementary_graphs())
+def test_elementary_graphs_have_no_irreducibility_witness(built):
+    # the short cut's premise, from the graphs' construction: the walk
+    # finds no witness on an elementary group, and the search proves none
+    kind, n, g = built
+    c = sp.classify_elementary(g)
+    assert (c.kind, c.n) == (kind, n)
+    L = 4 if len(g.vertices) <= 2 else 3
+    assert reference_witness(g, L) is None
+    assert sp.irreducibility_search(g, L).stop == "proved_none"
+
+
+@example(sp.bs(2, 3))
+@example(sp.graph(("u", "v"), (("e", "u", "v", 2, 3),)))
+@given(gbs_graphs())
+def test_irreducibility_witness_means_generic(g):
+    # the other direction: a graph with a witness is not elementary, and
+    # the search walks it to the reference's witness
+    witness = reference_witness(g, 2)
+    if witness is None:
+        return
+    assert sp.classify_elementary(g).kind == "generic"
+    out = sp.irreducibility_search(g, 2)
+    assert (out.stop, out.witness) == ("found", witness)
 
 
 # -- documents ---------------------------------------------------------------
