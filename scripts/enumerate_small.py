@@ -10,7 +10,6 @@ import sys
 from collections import Counter
 
 import splittings as sp
-from splittings.orbifold import _census
 
 
 def least_budget(o):
@@ -28,7 +27,7 @@ def census_rows(budget):
         return []
     counts = [Counter() for _ in range(budget + 1)]
     families = [Counter() for _ in range(budget + 1)]
-    census = _census(budget, lambda small, mcg: (small, mcg))
+    census = sp.census(budget, lambda small, mcg: (small, mcg))
     for orientable, genus, i, j, chi_numerator, _, verdict in census.rows:
         o = sp.Orbifold2(orientable, genus, census.cones[i], census.circles[j])
         b = least_budget(o)

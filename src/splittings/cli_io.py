@@ -55,10 +55,12 @@ Letters = tuple[tuple, ...]
 # words. With the default flags E = 8 takes 0.07-0.09 s, E = 9 0.3 s and
 # E = 10 about 0.7 s (py3.11 on a 2-core Xeon); each edge costs ~2.5-3x.
 LATTICE_MAX_EDGES = 9
-# The sampled words are built and normalized before any comparison, so
-# --words and --maxlen bound the work and memory with E. At both caps a
-# keep-less E = 9 loop master takes 3.5 s and a 32-vertex cycle master with
-# 3 keeps 5 s and 133 MiB peak RSS (same host); m3.txt takes 0.6 s.
+# The sampled words stream: each is drawn, reduced and normalized as
+# verify_modularity reads it, which keeps only its crossing sequence and
+# coset-path shift. So --words and --maxlen bound the time with E, not the
+# memory. At both caps a keep-less E = 9 loop master takes about 3.7 s, a
+# 32-vertex cycle master with 3 keeps 3.9 s and m3.txt 0.6 s, each under
+# 27 MiB peak RSS (same host, one process, interpreter start included).
 LATTICE_MAX_WORDS = 1_000
 LATTICE_MAX_WORD_LENGTH = 200
 
@@ -612,7 +614,7 @@ def _cmd_orbifold_enumerate(args, doc: None, input_digest: None):
     circle multiset is built once, and that of a verdict once per key that
     the census memoizes it on."""
     if args.json:
-        census = orbifold._census(args.budget, _census_json_verdict)
+        census = orbifold.census(args.budget, _census_json_verdict)
         head, tail = _census_json_ends(args, census.count)
         cones = [_census_json_list(map(str, c)) for c in census.cones]
         circles = [
@@ -620,7 +622,7 @@ def _cmd_orbifold_enumerate(args, doc: None, input_digest: None):
         ]
         row, sep = _census_json_row, ",\n"
     else:
-        census = orbifold._census(args.budget, _census_text_verdict)
+        census = orbifold.census(args.budget, _census_text_verdict)
         head, tail = f"count = {census.count}\n", ""
         cones = [" cone=" + ",".join(map(str, c)) if c else "" for c in census.cones]
         circles = ["".join(f" circle[{_circle_text(c)}]" for c in q) for q in census.circles]
@@ -683,7 +685,7 @@ def _cmd_lattice_verify(args, doc: Document, input_digest: str):
             f" E = {len(m.orbits)} edges is over the cap LATTICE_MAX_EDGES ="
             f" {LATTICE_MAX_EDGES}; name the collapses to compare with keep lines"
         )
-    words = gbs._sampled_words(m.graph, args.words, args.maxlen, args.seed)
+    words = gbs.iter_sample_words(m.graph, args.words, args.maxlen, args.seed)
     keeps = spec.keeps
     if not keeps:
         masks = range(1 << len(m.orbits))
@@ -720,7 +722,7 @@ def _quotient_json(q: cyl.QuotientGraph) -> dict:
 
 def _cmd_cylinders_quotient(args, doc: Document, input_digest: str):
     spec: AtlasSpec = doc.payload
-    q = cyl._quotient(spec.skeleton, spec.atlas)
+    q = cyl.tree_of_cylinders_quotient(spec.skeleton, spec.atlas)
     collapsed = cyl.collapse_non_A(q) if args.collapse else None
     if args.json:
         obj = {
@@ -751,7 +753,7 @@ def _cmd_export_dot(args, doc: Document, input_digest: str):
         if args.skeleton:
             yield export_dot(spec.skeleton)
         else:
-            q = cyl._quotient(spec.skeleton, spec.atlas)
+            q = cyl.tree_of_cylinders_quotient(spec.skeleton, spec.atlas)
             if args.collapse:
                 q = cyl.collapse_non_A(q)
             yield export_dot(q)

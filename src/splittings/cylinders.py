@@ -17,7 +17,7 @@ vertex. Vertex orbits not in V0 are absorbed into their unique cylinder.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional
 
 from .errors import Disconnected, MissingFlag, SemanticError, UnclassedEnd, clipped, clipped_name
@@ -71,6 +71,11 @@ class CylinderAtlas:
     # (edge orbit id, label): stabilizer label asserted for the cylinder
     # orbit containing that edge
     stabilizers: tuple[tuple[str, str], ...] = ()
+    # the skeleton validate_atlas last accepted this atlas on; invisible to
+    # equality, hashing and repr, and no constructor argument sets it
+    validated: Optional[SkeletonGraph] = field(
+        default=None, init=False, compare=False, repr=False, hash=False
+    )
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,9 @@ def _components(nodes: Iterable[Hashable], links: Iterable[tuple]) -> dict:
 
 def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
     """Structural checks plus the hypothesis manifest: the statements the
-    user asserts and the computation cannot verify."""
+    user asserts and the computation cannot verify. On success the atlas
+    records s in `validated`, so tree_of_cylinders_quotient on the same
+    skeleton object does not check it again."""
     vids = s.vertex_ids()
     for v in vids:
         if not isinstance(v, str):
@@ -173,6 +180,7 @@ def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
     for eid, _ in a.stabilizers:
         if eid not in known_edges:
             raise SemanticError(f"stabilizer label for unknown edge orbit {clipped_name(eid)}")
+    object.__setattr__(a, "validated", s)
     if not s.edges:
         return []  # no relation encoded, nothing to assume
     return [
@@ -208,12 +216,11 @@ def _cylinder_ids(partition: list[tuple[str, ...]]) -> dict[str, str]:
 
 
 def tree_of_cylinders_quotient(s: SkeletonGraph, a: CylinderAtlas) -> QuotientGraph:
-    validate_atlas(s, a)
-    return _quotient(s, a)
-
-
-def _quotient(s: SkeletonGraph, a: CylinderAtlas) -> QuotientGraph:
-    """tree_of_cylinders_quotient for an atlas already validated."""
+    """The bipartite quotient of the tree of cylinders. The atlas is
+    validated first unless validate_atlas already accepted it on this
+    skeleton object."""
+    if a.validated is not s:
+        validate_atlas(s, a)
     partition = cylinder_orbits(s, a)
     cyl_of = _cylinder_ids(partition)
     labels: dict[str, str] = {}

@@ -651,7 +651,9 @@ def irreducibility_search(g: LabeledGraph, L: int = DEFAULT_SEARCH_BUDGET) -> Se
     1987). Hyperbolicity depends only on the deformation space, which
     classify_elementary reads off the reduced graph, so such a graph is
     answered without a walk. On any other graph a witness certifies
-    irreducibility, and finding none only exhausts the budget.
+    irreducibility, and finding none only exhausts the budget. On every
+    generic graph tried a witness lies among the elements of length <= 2,
+    so for L >= 2 the search acts as a decision (measured, not proved).
 
     >>> irreducibility_search(bs(1, 2), 6)
     SearchOutcome(stop='proved_none', witness=None, elements_tried=0)
@@ -1087,15 +1089,16 @@ def sample_words(
 ) -> list[GroupWord]:
     """count random words of 1..max_len surface letters each: vertex powers
     with exponents in [-3, 3] minus zero, or edge crossings."""
-    return list(_sampled_words(g, count, max_len, seed))
+    return list(iter_sample_words(g, count, max_len, seed))
 
 
-def _sampled_words(
+def iter_sample_words(
     g: LabeledGraph, count: int, max_len: int, seed: int
 ) -> Iterator[GroupWord]:
     """The words of sample_words, each drawn when it is read, so a reader
     that keeps only what it needs of a word holds one word at a time. The
-    bounds, the graph and the seed are checked at the call."""
+    bounds, the graph and the seed are checked at the call, before the
+    first word is read."""
     require_nonnegative("sampled word count", count)
     if not isinstance(max_len, int):
         raise SemanticError(

@@ -482,7 +482,7 @@ def _chi_part(quarters: int, dens) -> tuple[int, int]:
     return n // g, d // g
 
 
-class _Census(NamedTuple):
+class Census(NamedTuple):
     """The census at one budget. Each row is (orientable, genus, i, j, n, d,
     verdict): the orbifold has cone multiset cones[i] and circle multiset
     circles[j], chi = n / d in lowest terms with d > 0, and verdict is None
@@ -494,15 +494,16 @@ class _Census(NamedTuple):
     rows: Iterator[tuple]
 
 
-def _census(
+def census(
     budget: int,
     classify: Optional[Callable[[SmallVerdict, McgVerdict], object]] = None,
-) -> _Census:
+) -> Census:
     """The census rows of enumerate_orbifolds, in its order, made one at a
-    time. With classify given, a hyperbolic row's verdict is
-    classify(_small(shape), _mcg(shape)) for the row's _shape, which is all
-    that the two classifiers read, so it is computed once per shape; the
-    circle counts in the shape are taken once per circle multiset. chi is
+    time; the row count is known before any row is made. With classify
+    given, a hyperbolic row's verdict is classify(small, mcg) for the
+    verdicts of is_small and has_finite_mcg on the row's orbifold. Both
+    read only the row's shape, so the verdict is computed once per shape;
+    the circle counts in the shape are taken once per circle multiset. chi is
     the surface term plus a cone part and a circle part, each computed once
     per multiset, so a row costs one lcm and one gcd.
 
@@ -567,7 +568,7 @@ def _census(
                 yield orientable, genus, i, j, n // g, d // g, verdict
 
     count = sum(len(circles) for *_, circles in blocks())
-    return _Census(count, cone_sets, circle_sets, rows())
+    return Census(count, cone_sets, circle_sets, rows())
 
 
 def enumerate_orbifolds(budget: int) -> list[Orbifold2]:
@@ -582,9 +583,8 @@ def enumerate_orbifolds(budget: int) -> list[Orbifold2]:
     sorted order, so nothing is sorted or deduplicated at the end. Negative
     budgets and budgets above CENSUS_MAX_BUDGET raise SemanticError before
     any work."""
-    census = _census(budget)
-    cones, circles = census.cones, census.circles
+    _, cones, circles, rows = census(budget)
     return [
         Orbifold2(orientable, genus, cones[i], circles[j])
-        for orientable, genus, i, j, *_ in census.rows
+        for orientable, genus, i, j, *_ in rows
     ]

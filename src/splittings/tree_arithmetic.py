@@ -119,8 +119,14 @@ def squarefree_witnesses(
     """For each unordered pair of distinct prime factors of K, search the
     group elements spelled by letter words of length <= L, each once, for
     one separating their length functions. Pairs left unwitnessed within
-    the budget map to None (a semi-decision; the distinctness of prime
-    factors guarantees a witness exists)."""
+    the budget map to None, a semi-decision. Distinct prime factors can
+    guarantee a witness only on a reduced master. On other masters two
+    prime factors may share a length function, and their pair maps to None
+    at every L. Two shapes show it: on a pendant path of (1,1) edges both
+    one-edge collapses are trivial splittings, so both lengths are 0; and
+    on a 2-cycle u-v whose two edges both carry a unit label at v, every
+    reduced path through v alternates the two edges, so their crossing
+    counts agree on every word."""
     require_nonnegative("search length bound L", L)
     primes = sorted(prime_factors(K), key=lambda p: sorted(p.kept))
     remaining = {

@@ -32,6 +32,13 @@ def run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_one_error_line(err, context):
+    """An input error reports itself on exactly one stderr line, which
+    starts with "error:"."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), (context, err)
+
+
 class TestParse:
     def test_gbs_loop(self):
         d = cli_io.parse("[gbs]\nedge e: v(2) -- v(4)\n")
@@ -1024,7 +1031,7 @@ class TestHostileInput:
     @pytest.mark.parametrize("seed, name", enumerate(["torus_cycle.txt", "tripods.txt"]))
     def test_atlas_parse_fuzz(self, seed, name, tmp_path):
         """Seeded mutations of an atlas: only a SplittingsError escapes parse,
-        and every atlas command exits 0 or 1."""
+        and every atlas command exits 0, or 1 with one error line."""
         rng = random.Random(seed)
         original = (INPUTS / name).read_text().splitlines()
         tokens = ("x", ",", ":", "=", "--", ".o", "-1", "9" * 20, "é", '"', "\\")
@@ -1073,6 +1080,8 @@ class TestHostileInput:
             for argv in commands:
                 code, _, err = run(*argv, str(p))
                 assert code in (0, 1), (mutant, argv, err)
+                if code == 1:
+                    assert_one_error_line(err, (mutant, argv))
 
     @pytest.mark.parametrize(
         "seed, name",
@@ -1082,7 +1091,7 @@ class TestHostileInput:
     def test_document_parse_fuzz(self, seed, name, tmp_path):
         """Seeded mutations of a [gbs], [master] or [orbifold] document: only
         a SplittingsError escapes parse, and every command that applies to
-        the document exits 0 or 1."""
+        the document exits 0, or 1 with one error line."""
         rng = random.Random(seed)
         original = (INPUTS / name).read_text().splitlines()
         tokens = ("x", ",", ":", "=", "--", "(", ")", "^", "[", "]", "-1", "0",
@@ -1134,6 +1143,8 @@ class TestHostileInput:
             for argv in commands:
                 code, _, err = run(*argv, str(p))
                 assert code in (0, 1), (mutant, argv, err)
+                if code == 1:
+                    assert_one_error_line(err, (mutant, argv))
 
 
 # sha256 of stdout and the exit code of every command form the benchmark

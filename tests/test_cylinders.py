@@ -1,16 +1,19 @@
+import io
 import random
 from collections import deque
 from dataclasses import replace
 
 import pytest
 
-from splittings import cylinders as cyl
+from splittings import cli_io, cylinders as cyl
 from splittings.errors import (
     Disconnected,
     MissingFlag,
     SemanticError,
     UnclassedEnd,
 )
+
+from conftest import INPUTS
 
 
 def torus_cycle():
@@ -322,6 +325,76 @@ class TestBipartite:
             assert sorted(seen) == sorted(e.id for e in s.edges)
 
 
+@pytest.fixture
+def validations(monkeypatch):
+    """The (skeleton, atlas) pairs that validate_atlas is called on."""
+    calls = []
+    real = cyl.validate_atlas
+
+    def counted(s, a):
+        calls.append((s, a))
+        return real(s, a)
+
+    monkeypatch.setattr(cyl, "validate_atlas", counted)
+    return calls
+
+
+class TestValidationMemo:
+    """An atlas records the skeleton it was validated on, so the quotient
+    does not check it again; the record is invisible to equality, hashing
+    and repr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("cylinders", "quotient"), ("cylinders", "quotient", "--collapse"),
+         ("export", "dot"), ("export", "dot", "--collapse")],
+    )
+    def test_each_atlas_command_validates_once(self, argv, validations):
+        out, err = io.StringIO(), io.StringIO()
+        code = cli_io.run([*argv, str(INPUTS / "tripods.txt")], stdout=out, stderr=err)
+        assert (code, err.getvalue()) == (0, "") and out.getvalue()
+        assert len(validations) == 1
+
+    def test_quotient_of_validated_atlas_does_not_validate(self, validations):
+        s, a = tripods()
+        manifest = cyl.validate_atlas(s, a)
+        assert a.validated is s and len(validations) == 1
+        q = cyl.tree_of_cylinders_quotient(s, a)
+        assert len(validations) == 1
+        fresh = cyl.CylinderAtlas(a.classes, a.stabilizers)
+        assert q == cyl.tree_of_cylinders_quotient(s, fresh)
+        assert len(validations) == 2
+        assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+        assert cyl.validate_atlas(s, fresh) == manifest
+
+    def test_other_skeleton_or_atlas_validates_again(self, validations):
+        s, a = tripods()
+        cyl.validate_atlas(s, a)
+        equal = replace(s)
+        assert equal == s and equal is not s
+        cyl.tree_of_cylinders_quotient(equal, a)
+        assert validations[-1] == (equal, a) and len(validations) == 2
+        assert a.validated is equal
+        changed = replace(a, stabilizers=(("e1", "Z"),))
+        assert changed.validated is None
+        cyl.tree_of_cylinders_quotient(equal, changed)
+        assert validations[-1][1] is changed and len(validations) == 3
+
+    def test_failed_validation_keeps_the_record(self):
+        s, a = tripods()
+        broken = replace(s, edges=s.edges[1:])
+        with pytest.raises(Disconnected):
+            cyl.validate_atlas(broken, a)
+        assert a.validated is None
+        cyl.validate_atlas(s, a)
+        with pytest.raises(Disconnected):
+            cyl.validate_atlas(broken, a)
+        assert a.validated is s
+        with pytest.raises(Disconnected):
+            cyl.tree_of_cylinders_quotient(broken, a)
+        assert a.validated is s
+
+
 def chained_cycles(rng):
     """A random atlas: a chain of edge cycles, each after the first starting
     at a vertex of the previous one, and sometimes a second chain apart from
@@ -439,3 +512,10 @@ class TestRandomAtlases:
         assert list(c.v0) == sorted(v0_ids)
         assert [y for y, _ in c.v1] == sorted(v1_ids)
         assert len(c.edges) == sum(1 for e in q.edges if e.in_A)
+        # the quotient of a tree is connected, and so is its collapse, whose
+        # edges may join two merged vertices of either kind; V0 and V1 ids
+        # are disjoint, as cylinder ids are reserved
+        for quotient in (q, c):
+            nodes = [*quotient.v0, *(y for y, _ in quotient.v1)]
+            links = [(e.v0, e.cyl) for e in quotient.edges]
+            assert len(bfs_components(nodes, links)) == 1

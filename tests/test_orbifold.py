@@ -546,7 +546,7 @@ class TestCensusRows:
     def test_rows_match_reference_invariants(self, budget):
         # chi against the Fraction reference, verdicts against the public
         # classifiers, each computed per row from the orbifold alone
-        census = orbifold._census(budget, lambda small, mcg: (small, mcg))
+        census = sp.census(budget, lambda small, mcg: (small, mcg))
         rows = list(census.rows)
         assert census.count == len(rows) == len(sp.enumerate_orbifolds(budget))
         for orientable, genus, i, j, n, d, verdict in rows:

@@ -911,6 +911,22 @@ def test_irreducibility_witness_means_generic(g):
     assert (out.stop, out.witness) == ("found", witness)
 
 
+@example(sp.bs(2, 2))
+@example(sp.bs(3, 3))
+@example(sp.bs(2, -2))
+@example(sp.bs(2, 4))
+@example(sp.graph(("u", "v"), (("e", "u", "v", 2, 2), ("f", "u", "v", 2, 2))))
+@example(sp.graph(
+    ("u", "v", "w"), (("e", "u", "v", 2, 2), ("f", "v", "w", 2, 2), ("l", "w", "w", 2, 3))
+))
+@given(gbs_graphs())
+def test_generic_means_irreducibility_witness_at_2(g):
+    # the converse: a graph that is not elementary has a witness among the
+    # elements of length <= 2, so the search decides irreducibility there
+    if sp.classify_elementary(g).kind == "generic":
+        assert sp.irreducibility_search(g, 2).stop == "found"
+
+
 # -- documents ---------------------------------------------------------------
 
 IDS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)

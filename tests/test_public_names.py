@@ -1,0 +1,69 @@
+"""The command line and the scripts call the library by its public names:
+neither reads a `_`-prefixed name of another splittings module, as an
+attribute or in a `from ... import`. Dunders are allowed."""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CLIENTS = [ROOT / "src" / "splittings" / "cli_io.py", *sorted((ROOT / "scripts").glob("*.py"))]
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(source):
+    """(line, name) of each private name of a splittings module that the
+    source reads; a relative import is taken to be from the package."""
+
+    def of_package(node):
+        return node.level or (node.module or "").split(".")[0] == "splittings"
+
+    tree = ast.parse(source)
+    bound = set()  # local names bound to a splittings module or object
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "splittings":
+                    bound.add(alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and of_package(node):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append((node.lineno, alias.name))
+                bound.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append((node.lineno, f"{root.id}...{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", CLIENTS, ids=lambda p: p.name)
+def test_clients_read_no_private_name(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("from . import cylinders as cyl\ncyl._quotient(s, a)\n", ["cyl..._quotient"]),
+        ("from . import orbifold\norbifold._census(5)\n", ["orbifold..._census"]),
+        ("import splittings as sp\nsp.gbs._elements(g, 2)\n", ["sp..._elements"]),
+        ("from splittings.orbifold import _census, census\n", ["_census"]),
+        ("from .gbs import _sampled_words\n", ["_sampled_words"]),
+        ("import splittings.gbs\nsplittings.gbs._reduce(g, w)\n", ["splittings..._reduce"]),
+        # dunders, public names and private names of other objects pass
+        ("import splittings as sp\nsp.__version__\nsp.census(3)\n", []),
+        ("from . import cylinders as cyl\nobject.__setattr__(a, 'x', 1)\n", []),
+        ("import re\nre._compile('x', 0)\nargs._seen\n", []),
+    ],
+)
+def test_guard_reads_private_names(source, names):
+    assert [name for _, name in private_reads(source)] == names

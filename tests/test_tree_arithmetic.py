@@ -176,6 +176,29 @@ class TestSquarefree:
                 m, k2, w
             )
 
+    def test_pendant_unit_path_is_inseparable(self):
+        # M3 plus a pendant path of two (1,1) edges: the master is not
+        # reduced, both one-edge collapses on the path are trivial
+        # splittings, so no word separates {g1} from {g2} at any L; every
+        # other pair of prime factors separates
+        g = sp.graph(
+            ("u", "v", "w1", "w2"),
+            (("e", "u", "u", 2, 3), ("ep", "v", "v", 2, 3), ("f", "u", "v", 2, 2),
+             ("g1", "v", "w1", 1, 1), ("g2", "w1", "w2", 1, 1)),
+        )
+        m = ta.master(g)
+        for w in sp.sample_words(g, 60, 8, 5):
+            assert ta.length_in_collapse(m, K(m, "g1"), w) == 0
+            assert ta.length_in_collapse(m, K(m, "g2"), w) == 0
+        wit = ta.squarefree_witnesses(m, K(m, *m.orbits), 4)
+        assert len(wit) == 10
+        for pair, w in wit.items():
+            k1, k2 = sorted(pair, key=lambda k: sorted(k.kept))
+            if (k1.kept, k2.kept) == ({"g1"}, {"g2"}):
+                assert w is None
+            else:
+                assert ta.length_in_collapse(m, k1, w) != ta.length_in_collapse(m, k2, w)
+
 
 class TestEllipticInLcm:
     def test_agrees_on_samples(self, m):
