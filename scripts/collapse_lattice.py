@@ -1,5 +1,6 @@
 """Walk the collapse lattice of the three-edge example: list prime factors,
-check modularity on random words, and hunt squarefree witnesses.
+check modularity on random words, and hunt squarefree witnesses, saying
+for each pair of prime factors why the search stopped.
 
 Usage: python3 scripts/collapse_lattice.py [--words N] [--maxlen L] [--seed S]
 """
@@ -34,19 +35,20 @@ def main(count, maxlen, seed):
     checked = len(subsets) * (len(subsets) - 1) // 2
     print(f"modularity: {checked} collapse pairs x {len(words)} words, all exact")
 
-    wit = ta.squarefree_witnesses(m, full, maxlen)
+    outcomes = ta.squarefree_search(m, full, maxlen)
     def pair_key(kv):
         return sorted(sorted(k.kept) for k in kv[0])
 
-    for pair, w in sorted(wit.items(), key=pair_key):
+    for pair, out in sorted(outcomes.items(), key=pair_key):
         k1, k2 = sorted(pair, key=lambda k: sorted(k.kept))
         tag = "{" + ",".join(sorted(k1.kept)) + "} vs {" + ",".join(sorted(k2.kept)) + "}"
-        if w is None:
-            print(f"{tag}: no separating word up to length {maxlen}")
+        n = out.elements_tried
+        if out.stop == "found":
+            l1 = ta.length_in_collapse(m, k1, out.witness)
+            l2 = ta.length_in_collapse(m, k2, out.witness)
+            print(f"{tag}: found after {n} elements, lengths {l1} vs {l2}")
         else:
-            l1 = ta.length_in_collapse(m, k1, w)
-            l2 = ta.length_in_collapse(m, k2, w)
-            print(f"{tag}: separated, lengths {l1} vs {l2}")
+            print(f"{tag}: exhausted after {n} elements up to length {maxlen}")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Container, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Container, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     Disconnected,
@@ -632,13 +632,41 @@ def _elements(g: LabeledGraph, max_len: int) -> Iterator[tuple[GroupWord, list[s
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Why a word search stopped. stop is "found" (witness holds the pair),
-    "exhausted" (every element up to the bound was tried, none witnessed)
-    or "proved_none" (no witness exists at any bound; nothing was tried)."""
+    """Why a word search stopped, for one question. stop is "found"
+    (witness holds what the question returned, elements_tried counts the
+    elements up to and including the one that answered), "exhausted"
+    (every element up to the bound was tried, elements_tried of them, and
+    none answered) or "proved_none" (no witness exists at any bound;
+    nothing was tried)."""
 
     stop: str
-    witness: Optional[tuple[GroupWord, GroupWord]]
+    witness: Any
     elements_tried: int
+
+
+def _search(
+    g: LabeledGraph, L: int, questions: dict[Any, Callable[[GroupWord, list[str]], Any]]
+) -> dict[Any, SearchOutcome]:
+    """The one driver of the word searches: walk _elements(g, L) once and
+    ask each question of each element, with its crossing ids, until the
+    question returns something other than None. The walk stops as soon as
+    every question has answered. One outcome per key, in the order given."""
+    outcomes: dict[Any, Optional[SearchOutcome]] = dict.fromkeys(questions)
+    pending = dict(questions)
+    tried = 0
+    if pending:
+        for w, seq in _elements(g, L):
+            tried += 1
+            for key, ask in list(pending.items()):
+                witness = ask(w, seq)
+                if witness is not None:
+                    outcomes[key] = SearchOutcome("found", witness, tried)
+                    del pending[key]
+            if not pending:
+                break
+    for key in pending:
+        outcomes[key] = SearchOutcome("exhausted", None, tried)
+    return outcomes
 
 
 def irreducibility_search(g: LabeledGraph, L: int = DEFAULT_SEARCH_BUDGET) -> SearchOutcome:
@@ -665,19 +693,20 @@ def irreducibility_search(g: LabeledGraph, L: int = DEFAULT_SEARCH_BUDGET) -> Se
     g = validate_graph(g)
     if classify_elementary(g).kind != "generic":
         return SearchOutcome("proved_none", None, 0)
-    tried = 0
     pool: list[tuple[GroupWord, GroupWord]] = []  # (element, its inverse)
-    for w, seq in _elements(g, L):
-        tried += 1
+
+    def hyperbolic_commutator(w: GroupWord, seq: list[str]):
         if not seq:
-            continue
+            return None
         w_inv = inverse(w)
         for w1, w1_inv in pool:
             comm = concat(concat(w1, w), concat(w1_inv, w_inv))
             if not is_elliptic(g, comm):
-                return SearchOutcome("found", (w1, w), tried)
+                return w1, w
         pool.append((w, w_inv))
-    return SearchOutcome("exhausted", None, tried)
+        return None
+
+    return _search(g, L, {"witness": hyperbolic_commutator})["witness"]
 
 
 def irreducibility_witness(
@@ -770,7 +799,11 @@ def classify_elementary(g: LabeledGraph) -> Classification:
     presents BS(1, lam*mu) (n=1 gives Z^2, n=-1 the Klein bottle group);
     a reduced segment with both labels +-2 is the Klein bottle amalgam;
     everything else is generic."""
-    r = reduce(g)
+    return _classify(reduce(g))
+
+
+def _classify(r: LabeledGraph) -> Classification:
+    """classify_elementary of a graph that reduce returned."""
     if not r.edges:
         return Classification("Z")
     if len(r.edges) == 1:
@@ -879,7 +912,7 @@ def jsj_report(g: LabeledGraph) -> Report:
     g = validate_graph(g)
     rep = Report(operation="gbs.jsj_report", graph_digest=_graph_digest(g))
     reduced = reduce(g)
-    cls = classify_elementary(g)
+    cls = _classify(reduced)
     rep.add("classify_elementary", "classification", cls.label())
     rep.values["edges_after_reduction"] = str(len(reduced.edges))
     if cls.kind in ("Z", "Z2", "Klein"):

@@ -113,38 +113,44 @@ def verify_modularity(
     return failed
 
 
-def squarefree_witnesses(
+def squarefree_search(
     m: MasterSplitting, K: CollapseTree, L: int = gbs.DEFAULT_SEARCH_BUDGET
-) -> dict[frozenset[CollapseTree], Optional[GroupWord]]:
+) -> dict[frozenset[CollapseTree], gbs.SearchOutcome]:
     """For each unordered pair of distinct prime factors of K, search the
     group elements spelled by letter words of length <= L, each once, for
-    one separating their length functions. Pairs left unwitnessed within
-    the budget map to None, a semi-decision. Distinct prime factors can
-    guarantee a witness only on a reduced master. On other masters two
-    prime factors may share a length function, and their pair maps to None
-    at every L. Two shapes show it: on a pendant path of (1,1) edges both
-    one-edge collapses are trivial splittings, so both lengths are 0; and
-    on a 2-cycle u-v whose two edges both carry a unit label at v, every
-    reduced path through v alternates the two edges, so their crossing
-    counts agree on every word."""
+    one separating their length functions, and say why the search stopped:
+    "found" (witness is the first separating word, at element
+    elements_tried of the walk) or "exhausted" (none of the elements_tried
+    elements up to L separates the pair, a semi-decision). One walk serves
+    every pair and stops once each pair is separated. Distinct prime
+    factors can guarantee a witness only on a reduced master. On other
+    masters two prime factors may share a length function, and their pair
+    exhausts at every L. Two shapes show it: on a pendant path of (1,1)
+    edges both one-edge collapses are trivial splittings, so both lengths
+    are 0; and on a 2-cycle u-v whose two edges both carry a unit label at
+    v, every reduced path through v alternates the two edges, so their
+    crossing counts agree on every word."""
     require_nonnegative("search length bound L", L)
     primes = sorted(prime_factors(K), key=lambda p: sorted(p.kept))
-    remaining = {
-        frozenset((p1, p2)): (p1.kept, p2.kept)
+
+    def separates(e1: str, e2: str):
+        return lambda w, seq: w if seq.count(e1) != seq.count(e2) else None
+
+    questions = {
+        frozenset((p1, p2)): separates(*p1.kept, *p2.kept)
         for i, p1 in enumerate(primes)
         for p2 in primes[i + 1:]
     }
-    witnesses = dict.fromkeys(remaining)
-    if not remaining:
-        return witnesses
-    for w, seq in gbs._elements(m.graph, L):
-        for pair, (k1, k2) in list(remaining.items()):
-            if sum(e in k1 for e in seq) != sum(e in k2 for e in seq):
-                witnesses[pair] = w
-                del remaining[pair]
-        if not remaining:
-            break
-    return witnesses
+    return gbs._search(m.graph, L, questions)
+
+
+def squarefree_witnesses(
+    m: MasterSplitting, K: CollapseTree, L: int = gbs.DEFAULT_SEARCH_BUDGET
+) -> dict[frozenset[CollapseTree], Optional[GroupWord]]:
+    """The witnesses of squarefree_search(m, K, L): per pair of distinct
+    prime factors of K, the first word separating their length functions,
+    or None when none of length <= L does (a semi-decision)."""
+    return {pair: o.witness for pair, o in squarefree_search(m, K, L).items()}
 
 
 def elliptic_in_lcm(

@@ -14,7 +14,7 @@ from splittings.errors import (
 from splittings import gbs, tree_arithmetic as ta
 from splittings.gbs import Cross, GroupWord, Pow
 
-from conftest import make_m3
+from conftest import INPUTS, make_m3
 
 
 # a 300-character vertex name and how error messages show it
@@ -600,6 +600,20 @@ class TestJsjReport:
         rep = sp.jsj_report(g)
         assert rep.verdict("classification") == "Z"
         assert rep.values["edges_after_reduction"] == "0"
+
+    @pytest.mark.parametrize("name", ["bs14", "bs16", "bs23", "bs24", "m3"])
+    def test_reduces_once(self, monkeypatch, name):
+        # the classification reads the reduced graph the report holds
+        g = sp.parse((INPUTS / f"{name}.txt").read_text()).payload.graph
+        calls, real = [], gbs.reduce
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(gbs, "reduce", counted)
+        sp.jsj_report(g)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -496,6 +496,52 @@ def test_element_walk_matches_string_walk(g, L):
     assert_walk_matches_reference(g, L)
 
 
+PENDANT = sp.validate_graph(sp.graph(
+    ("u", "v", "w1", "w2"),
+    (("e", "u", "u", 2, 3), ("ep", "v", "v", 2, 3), ("f", "u", "v", 2, 2),
+     ("g1", "v", "w1", 1, 1), ("g2", "w1", "w2", 1, 1)),
+))
+
+
+@example(PENDANT, 3)
+@given(gbs_graphs(), st.integers(0, 3))
+def test_squarefree_search_matches_reference(g, L):
+    # per pair of prime factors: found at the 1-based index of the first
+    # reference element that separates the pair, or exhausted after all of
+    # them; one walk serves every pair and is read no further than the
+    # last answer
+    m = ta.master(g)
+    K = ta.collapse(m, m.orbits)
+    primes = ta.prime_factors(K)
+    elements = [
+        (w, {k: ta.length_in_collapse(m, k, w) for k in primes})
+        for w, _ in reference_elements(g, L)
+        if sp.britton_reduce(g, w).word.items != ()
+    ]
+    walk, pulled = gbs._elements, []
+
+    def counted(g, L):
+        for item in walk(g, L):
+            pulled.append(item)
+            yield item
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gbs, "_elements", counted)
+        outcomes = ta.squarefree_search(m, K, L)
+    assert set(outcomes) == {frozenset(p) for p in itertools.combinations(primes, 2)}
+    for pair, out in outcomes.items():
+        k1, k2 = pair
+        hit = next(
+            (i for i, (_, ls) in enumerate(elements, 1) if ls[k1] != ls[k2]), None
+        )
+        if hit is None:
+            assert out == sp.SearchOutcome("exhausted", None, len(elements))
+        else:
+            assert out == sp.SearchOutcome("found", elements[hit - 1][0], hit)
+    assert len(pulled) == max((o.elements_tried for o in outcomes.values()), default=0)
+    assert ta.squarefree_witnesses(m, K, L) == {p: o.witness for p, o in outcomes.items()}
+
+
 @pytest.mark.parametrize(
     "g, L", [(sp.validate_graph(sp.bs(1, 1)), 7), (BS23, 6), (M3, 4)],
     ids=["bs11-L7", "bs23-L6", "m3-L4"],

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import splittings as sp
-from splittings import tree_arithmetic as ta
+from splittings import gbs, tree_arithmetic as ta
 from splittings.errors import SemanticError
 
 
@@ -198,6 +198,13 @@ class TestSquarefree:
                 assert w is None
             else:
                 assert ta.length_in_collapse(m, k1, w) != ta.length_in_collapse(m, k2, w)
+        # the inseparable pair walks every element up to L; the others stop
+        total = sum(1 for _ in gbs._elements(g, 4))
+        for pair, out in ta.squarefree_search(m, K(m, *m.orbits), 4).items():
+            if {k.kept for k in pair} == {frozenset({"g1"}), frozenset({"g2"})}:
+                assert out == sp.SearchOutcome("exhausted", None, total)
+            else:
+                assert out.stop == "found" and out.witness == wit[pair]
 
 
 class TestEllipticInLcm:
