@@ -7,6 +7,7 @@ Usage: python3 scripts/collapse_lattice.py [--words N] [--maxlen L] [--seed S]
 
 import argparse
 import itertools
+import sys
 
 import splittings as sp
 from splittings import graph, tree_arithmetic as ta
@@ -57,4 +58,7 @@ if __name__ == "__main__":
     ap.add_argument("--maxlen", type=int, default=6)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    main(args.words, args.maxlen, args.seed)
+    try:
+        main(args.words, args.maxlen, args.seed)
+    except sp.SplittingsError as exc:
+        sys.exit(f"error: {exc}")

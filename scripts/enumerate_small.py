@@ -23,8 +23,6 @@ def census_rows(budget):
     """One row per budget 0..budget from a single census at budget, which
     gives each orbifold's chi and verdicts. Each orbifold is tallied at its
     least budget and the rows are running sums."""
-    if budget < 0:
-        return []
     counts = [Counter() for _ in range(budget + 1)]
     families = [Counter() for _ in range(budget + 1)]
     census = sp.census(budget, lambda small, mcg: (small, mcg))

@@ -279,7 +279,7 @@ def _parse_graph(body, kind: str, name: str) -> GbsSpec:
     g = gbs.validate_graph(gbs.LabeledGraph(tuple(vertices), tuple(edges), base, tree, name))
     for kname, ids in keeps:
         for eid in ids:
-            if eid not in g.index.edges:
+            if eid not in g.index.moves:
                 raise SemanticError(f"keep {clipped(kname)} names unknown edge {clipped(eid)}")
     return GbsSpec(g, tuple(words), tuple(keeps))
 

@@ -113,4 +113,6 @@ class DocumentSyntaxError(SplittingsError):
 
 
 class SemanticError(SplittingsError):
-    """Well-formed text denoting an invalid object; wraps a module error."""
+    """Well-formed text denoting an invalid object, or an invalid argument
+    to the API. Module errors such as ZeroLabel and InvalidPath are raised
+    as themselves, not wrapped in it."""

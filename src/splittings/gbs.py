@@ -11,17 +11,18 @@ alternating vertex powers and edge crossings. Britton reduction removes
 pinches Cross(e,+) Pow(k*mu) Cross(e,-) -> Pow(k*lam) (and the mirrored
 rule); cyclic reduction also removes pinches across the wrap, changing the
 base point. The translation length of an element on the Bass-Serre tree is
-the crossing count of its cyclically reduced form; ball_displacement_oracle
-recomputes it from explicit tree geometry and serves as the independent
-check of the Britton engine.
+the crossing count of its cyclically reduced form: a Britton-reduced word
+of n crossings whose wrap pinches k times has length n - 2k. The
+ball_displacement_oracle recomputes it from explicit tree geometry and
+serves as the independent check of the Britton engine.
 
-validate_graph attaches a GraphIndex to the graph it returns (edges by id,
-one move per crossing, spanning-tree parents and depths), so edge lookups
-are dict reads, tree paths cost O(depth) and reductions O(n) in word items.
-A move holds a crossing with its reverse, its departure and arrival
-vertices and labels; every word walker reads crossings through the moves.
-A word keeps its reduction for the graph index it was first reduced on
-(GroupWord.reduced), so every length question after the first reads it.
+validate_graph attaches a GraphIndex to the graph it returns (moves by
+edge id, spanning-tree parents and depths), so crossing lookups are dict
+reads, tree paths cost O(depth) and reductions O(n) in word items. A move
+holds a crossing with its reverse, its departure and arrival vertices and
+labels; every word walker reads crossings through the moves. A word keeps
+its linear pass and the cyclic pass's (k, p) for the graph index it was
+first reduced on (GroupWord.reduced), so later length questions read it.
 """
 
 from __future__ import annotations
@@ -77,25 +78,25 @@ class LabeledGraph:
     )
 
     def edge(self, eid: str) -> Edge:
-        e = validate_graph(self).index.edges.get(eid)
-        if e is None:
-            raise SemanticError(f"no edge named {clipped_name(eid)}")
-        return e
+        for e in validate_graph(self).edges:
+            if e.id == eid:
+                return e
+        raise SemanticError(f"no edge named {clipped_name(eid)}")
 
 
 @dataclass(frozen=True, eq=False)
 class GraphIndex:
-    """Lookup tables of a validated graph, built once by validate_graph.
-    A move is the tuple (crossing, reverse crossing, departure, arrival,
-    departure label, arrival label); the walkers push only these crossing
-    objects, so they compare crossings with `is`. moves[e] is the
-    (forward, backward) pair of edge e, and departing[v] lists the moves
-    leaving v in edge order (the forward move of an edge before its
-    backward one). The spanning tree is rooted at the base: parent[v] =
-    (parent vertex, crossing from v up to it, crossing from it down to v)
-    for every other vertex, and depth[v] counts tree edges from the base."""
+    """Lookup tables of a validated graph, built once by validate_graph;
+    moves is its only edge table. A move is the tuple (crossing, reverse
+    crossing, departure, arrival, departure label, arrival label); the
+    walkers push only these crossing objects, so they compare crossings
+    with `is`. moves[e] is the (forward, backward) pair of edge e, and
+    departing[v] lists the moves leaving v in edge order (the forward move
+    of an edge before its backward one). The spanning tree is rooted at
+    the base: parent[v] = (parent vertex, crossing from v up to it,
+    crossing from it down to v) for every other vertex, and depth[v]
+    counts tree edges from the base."""
 
-    edges: dict[str, Edge]
     moves: dict[str, tuple[Move, Move]]
     departing: dict[str, tuple[Move, ...]]
     parent: dict[str, tuple[str, Cross, Cross]]
@@ -155,8 +156,7 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
             raise SemanticError(f"edge id {clipped_name(e.id)} is not a string")
     if len(set(g.vertices)) != len(g.vertices):
         raise SemanticError("duplicate vertex id")
-    edges = {e.id: e for e in g.edges}
-    if len(edges) != len(g.edges):
+    if len({e.id for e in g.edges}) != len(g.edges):
         raise SemanticError("duplicate edge id")
     moves: dict[str, tuple[Move, Move]] = {}
     departing: dict[str, list[Move]] = {v: [] for v in g.vertices}
@@ -181,7 +181,7 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
     if base not in departing:
         raise SemanticError(f"base {clipped_name(base)} is not a vertex")
     # breadth-first spanning tree, edges taken in listed order
-    reached = _breadth_first(base, departing, edges)
+    reached = _breadth_first(base, departing, moves)
     if len(reached) != len(g.vertices):
         raise Disconnected("graph is not connected")
     if g.spanning_tree is None:
@@ -189,7 +189,7 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
     else:
         tree = tuple(g.spanning_tree)
         for eid in tree:
-            if eid not in edges:
+            if eid not in moves:
                 raise SemanticError(f"spanning tree names unknown edge {clipped_name(eid)}")
         if len(set(tree)) != len(tree):
             raise SemanticError("spanning tree lists an edge twice")
@@ -210,9 +210,7 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
             down, up, p = m[0], m[1], m[2]
             parent[v] = (p, up, down)
             depth[v] = depth[p] + 1
-    index = GraphIndex(
-        edges, moves, {v: tuple(ms) for v, ms in departing.items()}, parent, depth
-    )
+    index = GraphIndex(moves, {v: tuple(ms) for v, ms in departing.items()}, parent, depth)
     return LabeledGraph(tuple(g.vertices), tuple(g.edges), base, tree, g.name, index)
 
 
@@ -256,7 +254,7 @@ class GroupWord:
 
     base: str
     items: tuple[Item, ...] = ()
-    # (graph index, linear pass, cyclic pass), set by _reduce
+    # (graph index, linear pass, (k, p) of the cyclic pass), set by _reduce
     reduced: Optional[tuple] = field(
         default=None, init=False, compare=False, repr=False, hash=False
     )
@@ -471,45 +469,37 @@ def _malformed(item) -> InvalidPath:
     )
 
 
-def _cyclic_reduce(g: LabeledGraph, linear) -> tuple[list[tuple[Cross, int, str]], str, int]:
-    """Cyclic pinch removal on the linear pass's crossing entries; returns
-    the cyclic entries, plus the vertex and exponent of the residual power
-    (the whole element when the entries empty). The cyclic word starts at
-    the last entry's vertex, where its first crossing departs, so that
-    vertex is the residual vertex when crossings remain. The linear pass
-    left no pinch inside the list, so only the wrap adjacency (last, first)
-    can pinch, and removing that pair exposes the next wrap: O(n) pops at
-    both ends."""
-    p0 = linear[0][1]
-    if len(linear) == 1:
-        return [], linear[0][2], p0
-    entries = deque(linear[1:])
-    c, p, v = entries.pop()
-    entries.append((c, p + p0, v))
-    while len(entries) >= 2:
-        ci, qi, _ = entries[-1]
-        cj, qj, vj = entries[0]
+def _cyclic_reduce(g: LabeledGraph, linear) -> tuple[int, int]:
+    """Cyclic pinch removal on the linear pass's crossing entries, read in
+    place; returns (k, p). The linear pass left no pinch inside the list,
+    so only the wrap adjacency (last, first) can pinch, and removing that
+    pair exposes the next wrap: k wrap pinches drop the first k and the
+    last k crossing entries. The cyclic word crosses the window
+    linear[1 + k:len(linear) - k], starting at the vertex of its last
+    entry, and ends with the merged wrap power p in place of that entry's
+    power. When no crossing is left, p is the whole element, a power at the
+    vertex of linear[k]."""
+    n, k, carry = len(linear) - 1, 0, linear[0][1]
+    while n - 2 * k >= 2:
+        c, q, _ = linear[n - k]
+        cj, qj, _ = linear[1 + k]
         _, rev, _, _, d, a = _move(g, cj)
-        if ci is not rev or qi % d != 0:
+        if c is not rev or (q + carry) % d != 0:
             break
-        entries.pop()
-        entries.popleft()
-        carry = qi // d * a
-        if not entries:
-            return [], vj, carry + qj
-        c, p, v = entries.pop()
-        entries.append((c, p + carry + qj, v))
-    return list(entries), entries[-1][2], 0
+        carry = (q + carry) // d * a + qj
+        k += 1
+    return k, carry + (linear[n - k][1] if n > 2 * k else 0)
 
 
 def _reduce(g: LabeledGraph, w: GroupWord):
     """The reduction core shared by every length consumer: the indexed
-    graph, the linear pass, and the cyclic pass over it. The passes run
-    once per word and graph index: the first successful call stores them on
-    the word, and a later call reuses them only when the stored index is
-    this graph's index object (a re-indexed or relabelled graph misses). A
-    word that fails its checks stores nothing, so it fails the same way on
-    every call. Callers must not mutate the returned lists."""
+    graph, the linear pass, and the cyclic pass's (k, p) over it. The
+    passes run once per word and graph index: the first successful call
+    stores them on the word, and a later call reuses them only when the
+    stored index is this graph's index object (a re-indexed or relabelled
+    graph misses). A word that fails its checks stores nothing, so it
+    fails the same way on every call. Callers must not mutate the returned
+    list."""
     g = validate_graph(g)
     memo = w.reduced
     if memo is not None and memo[0] is g.index:
@@ -534,11 +524,18 @@ def _word_from(base: str, power: int, entries) -> GroupWord:
 def britton_reduce(g: LabeledGraph, w: GroupWord) -> NormalForm:
     """Britton-reduce w, then cyclically reduce it. Terminates because every
     pinch removes two crossings."""
-    _, linear, (entries, res_v, res_p) = _reduce(g, w)
+    _, linear, (k, p) = _reduce(g, w)
+    entries = linear[1 + k:len(linear) - k]
+    # the cyclic word's base: the last entry's vertex, or linear[k]'s when
+    # no entry is left (then len(linear) - 1 == 2k)
+    v = linear[-1 - k][2]
+    if entries:
+        entries[-1] = (entries[-1][0], p, v)
+        p = 0
     return NormalForm(
         word=_word_from(w.base, linear[0][1], linear[1:]),
-        cyclic_word=_word_from(res_v, res_p, entries),
-        cyclically_reduced=(len(linear) - 1 == len(entries)),
+        cyclic_word=_word_from(v, p, entries),
+        cyclically_reduced=(k == 0),
         crossing_sequence=tuple([c.edge for c, _, _ in entries]),
     )
 
@@ -548,14 +545,14 @@ def crossing_sequence(g: LabeledGraph, w: GroupWord) -> list[str]:
     without building the words of the normal form. Length queries run this
     once per word; a list rather than a tuple because CPython 3.11 keeps
     freed 20-item tuples on a free list it never reuses."""
-    _, _, (entries, _, _) = _reduce(g, w)
-    return [c.edge for c, _, _ in entries]
+    _, linear, (k, _) = _reduce(g, w)
+    return [c.edge for c, _, _ in linear[1 + k:len(linear) - k]]
 
 
 def translation_length(g: LabeledGraph, w: GroupWord) -> int:
     """Crossing count of the cyclically reduced form; 0 iff elliptic."""
-    _, _, (entries, _, _) = _reduce(g, w)
-    return len(entries)
+    _, linear, (k, _) = _reduce(g, w)
+    return len(linear) - 1 - 2 * k
 
 
 def is_elliptic(g: LabeledGraph, w: GroupWord) -> bool:

@@ -409,8 +409,8 @@ def feature_count(o: Orbifold2) -> int:
 CENSUS_MAX_BUDGET = 8
 
 
-def _circle_shapes(max_cost: int, budget: int) -> list[BoundaryCircle]:
-    """All normalized circles of cost (1 + word length) <= max_cost, with
+def _circle_shapes(budget: int) -> list[BoundaryCircle]:
+    """All normalized circles of cost (1 + word length) <= budget, with
     corner orders in [2, budget], sorted by sort_key.
 
     Each circle is generated once, already canonical: a word is kept only
@@ -419,10 +419,10 @@ def _circle_shapes(max_cost: int, budget: int) -> list[BoundaryCircle]:
     image of the decorated word is then the word itself, so nothing is
     canonicalized or deduplicated afterwards."""
     shapes = []
-    if max_cost >= 1:
+    if budget >= 1:
         shapes.append(BoundaryCircle.plain())
     orders = range(2, budget + 1)
-    for length in range(1, max_cost):
+    for length in range(1, budget):
         maps = _dihedral_maps(length)
         for word in itertools.product((B, M), repeat=length):
             if M not in word or any(word[i - 1] == word[i] == B for i in range(length)):
@@ -515,7 +515,7 @@ def census(
             f"census budget {int_text(budget)} is over the cap CENSUS_MAX_BUDGET ="
             f" {CENSUS_MAX_BUDGET}; the census grows 10-13x per budget step"
         )
-    shapes = _circle_shapes(budget, budget)
+    shapes = _circle_shapes(budget)
     costs = [1 + len(c.word) for c in shapes]
     by_cost = [[i for i, c in enumerate(costs) if c <= r] for r in range(budget + 1)]
     # each shape's share of chi: -1 per circle, -(1 - 1/r)/2 per corner

@@ -665,6 +665,7 @@ BAD_ARGUMENTS = [
     ("power exponent 1.5", lambda: sp.power(W(sp.bs(2, 3), ("t", "e", 1)), 1.5)),
     ("sampled word seed [1]", lambda: gbs.sample_words(sp.bs(2, 3), 1, 2, [1])),
     ("edge of two fields", lambda: sp.graph(("v",), (("e", "v"),))),
+    ("unhashable edge id", lambda: sp.bs(2, 3).edge(["e"])),
     # checked before the elementary short cut can answer
     ("irreducibility L -1 on BS(1,2)", lambda: gbs.irreducibility_witness(sp.bs(1, 2), -1)),
     ("irreducibility L 1.5 on BS(1,2)", lambda: gbs.irreducibility_witness(sp.bs(1, 2), 1.5)),

@@ -436,7 +436,7 @@ CENSUS = [0, 3, 14, 59, 271, 1445, 9259, 73818, 755625]
 class TestCensusCount:
     @pytest.mark.parametrize("budget", range(2, 8))
     def test_shapes_per_length_match_burnside(self, budget):
-        shapes = orbifold._circle_shapes(budget, budget)
+        shapes = orbifold._circle_shapes(budget)
         got = Counter(len(c.word) for c in shapes if not c.is_plain())
         assert dict(got) == _burnside_shapes(budget)
         assert sum(c.is_plain() for c in shapes) == 1
@@ -472,7 +472,7 @@ class TestCanonicalShapes:
                         corners[i] = r
                     (c,) = orb(circles=(mixed(word, corners),)).circles
                     expect.add(c)
-        got = orbifold._circle_shapes(budget, budget)
+        got = orbifold._circle_shapes(budget)
         assert len(got) == len(set(got))
         assert set(got) == expect
         assert got == sorted(got, key=BoundaryCircle.sort_key)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -378,6 +379,59 @@ def reference_linear_reduce(g, w):
     if out[-1][2] != w.base:
         raise sp.InvalidPath(f"path ends at {out[-1][2]!r}, not at base {w.base!r}")
     return out
+
+
+def reference_cyclic_reduce(g, linear):
+    # the cyclic pass as a deque of copied crossing entries, popped at both
+    # ends while the wrap pinches; returns the cyclic entries with the
+    # vertex and power of the residual (the whole element when none is left)
+    edges = {e.id: e for e in g.edges}
+    p0 = linear[0][1]
+    if len(linear) == 1:
+        return [], linear[0][2], p0
+    entries = deque(linear[1:])
+    c, p, v = entries.pop()
+    entries.append((c, p + p0, v))
+    while len(entries) >= 2:
+        ci, qi, _ = entries[-1]
+        cj, qj, vj = entries[0]
+        e = edges[cj.edge]
+        d, a = (e.lam, e.mu) if cj.sign > 0 else (e.mu, e.lam)
+        if ci != Cross(cj.edge, -cj.sign) or qi % d != 0:
+            break
+        entries.pop()
+        entries.popleft()
+        carry = qi // d * a
+        if not entries:
+            return [], vj, carry + qj
+        c, p, v = entries.pop()
+        entries.append((c, p + carry + qj, v))
+    return list(entries), entries[-1][2], 0
+
+
+def reference_cyclic_word(entries, res_v, res_p):
+    items = [Pow(res_v, res_p)] if res_p else []
+    for c, p, v in entries:
+        items.append(c)
+        if p:
+            items.append(Pow(v, p))
+    return sp.GroupWord(res_v, tuple(items))
+
+
+@given(graph_with_words(2))
+def test_cyclic_pass_matches_reference(gw):
+    # conjugates pinch across the wrap once per conjugating crossing, and
+    # w w^-1 until nothing is left; the stored window (k, p) must answer
+    # as the copied entries do
+    g, (w, c) = gw
+    for u in (sp.concat(sp.concat(c, w), sp.inverse(c)), sp.concat(w, sp.inverse(w))):
+        linear = gbs._linear_reduce(g, u)
+        entries, res_v, res_p = reference_cyclic_reduce(g, linear)
+        assert sp.translation_length(g, u) == len(entries)
+        assert sp.crossing_sequence(g, u) == [x.edge for x, _, _ in entries]
+        nf = sp.britton_reduce(g, u)
+        assert nf.cyclic_word == reference_cyclic_word(entries, res_v, res_p)
+        assert nf.cyclically_reduced == (len(entries) == len(linear) - 1)
 
 
 @given(graph_with_words(2), st.integers(1, 4), st.integers(-2, 2), st.data())

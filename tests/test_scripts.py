@@ -62,6 +62,23 @@ def test_census_script_over_cap_fails_cleanly():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("script, args, message", [
+    ("collapse_lattice.py", ["--maxlen", "0"], "sampled words need a length bound >= 1, got 0"),
+    ("collapse_lattice.py", ["--words", "-1"], "sampled word count must be >= 0, got -1"),
+    ("oracle_agreement.py", ["--maxlen", "0"], "sampled words need a length bound >= 1, got 0"),
+    ("oracle_agreement.py", ["--words", "-1"], "sampled word count must be >= 0, got -1"),
+    ("enumerate_small.py", ["--budget", "-1"], "census budget must be >= 0, got -1"),
+], ids=["lattice-maxlen-0", "lattice-words--1", "oracle-maxlen-0", "oracle-words--1",
+        "census-budget--1"])
+def test_script_bad_argument_fails_cleanly(script, args, message):
+    # a refused argument ends the run with exit 1 and one error line, as
+    # the CLI does, not with a traceback or an empty table
+    proc = run_script(script, args)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_census_rows_match_each_budget():
     # the script tallies one enumeration at the top budget; each row must
     # count what the census at its own budget lists
