@@ -746,10 +746,20 @@ def _cmd_cylinders_quotient(args, doc: Document, input_digest: str):
 
 
 def _cmd_export_dot(args, doc: Document, input_digest: str):
+    # a flag that would change nothing is refused, not ignored
     if doc.kind in ("gbs", "master"):
+        for flag in ("skeleton", "collapse"):
+            if getattr(args, flag):
+                raise SemanticError(
+                    f"export dot --{flag} applies to an atlas, not a {doc.kind!r} document"
+                )
         yield export_dot(doc.payload.graph)
     elif doc.kind == "atlas":
         spec: AtlasSpec = doc.payload
+        if args.skeleton and args.collapse:
+            raise SemanticError(
+                "export dot --collapse applies to the cylinder quotient, not to --skeleton"
+            )
         if args.skeleton:
             yield export_dot(spec.skeleton)
         else:

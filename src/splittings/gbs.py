@@ -16,13 +16,14 @@ of n crossings whose wrap pinches k times has length n - 2k. The
 ball_displacement_oracle recomputes it from explicit tree geometry and
 serves as the independent check of the Britton engine.
 
-validate_graph attaches a GraphIndex to the graph it returns (moves by
-edge id, spanning-tree parents and depths), so crossing lookups are dict
-reads, tree paths cost O(depth) and reductions O(n) in word items. A move
-holds a crossing with its reverse, its departure and arrival vertices and
-labels; every word walker reads crossings through the moves. A word keeps
-its linear pass and the cyclic pass's (k, p) for the graph index it was
-first reduced on (GroupWord.reduced), so later length questions read it.
+validate_graph attaches a GraphIndex (moves by edge id, spanning-tree
+parents and depths) to the graph it returns, and nothing else sets one, so
+crossing lookups are dict reads, tree paths cost O(depth) and reductions
+O(n) in word items. A move holds a crossing with its reverse, its departure
+and arrival vertices and labels; every word walker reads crossings through
+the moves. A word keeps its linear pass and the cyclic pass's (k, p) for
+the graph index it was first reduced on (GroupWord.reduced), so later
+length questions read it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Container, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     Disconnected,
@@ -67,14 +68,20 @@ class Edge:
 
 @dataclass(frozen=True)
 class LabeledGraph:
+    """A GBS graph as given: vertices, labelled edges, and optionally a base
+    vertex and spanning-tree edge ids. `index` is set only by validate_graph,
+    on the graph it returns; no constructor argument sets it, so a graph
+    built directly or through dataclasses.replace is unindexed and is
+    validated again. Like GroupWord.reduced, it is invisible to equality,
+    hashing and repr."""
+
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     base: Optional[str] = None
     spanning_tree: Optional[tuple[str, ...]] = None
     name: str = ""
-    # built by validate_graph; invisible to equality, hashing and repr
     index: Optional[GraphIndex] = field(
-        default=None, compare=False, repr=False, hash=False
+        default=None, init=False, compare=False, repr=False, hash=False
     )
 
     def edge(self, eid: str) -> Edge:
@@ -86,16 +93,16 @@ class LabeledGraph:
 
 @dataclass(frozen=True, eq=False)
 class GraphIndex:
-    """Lookup tables of a validated graph, built once by validate_graph;
-    moves is its only edge table. A move is the tuple (crossing, reverse
-    crossing, departure, arrival, departure label, arrival label); the
-    walkers push only these crossing objects, so they compare crossings
-    with `is`. moves[e] is the (forward, backward) pair of edge e, and
-    departing[v] lists the moves leaving v in edge order (the forward move
-    of an edge before its backward one). The spanning tree is rooted at
-    the base: parent[v] = (parent vertex, crossing from v up to it,
-    crossing from it down to v) for every other vertex, and depth[v]
-    counts tree edges from the base."""
+    """Lookup tables of a validated graph, built once by validate_graph and
+    attached only to the graph it returns; moves is its only edge table. A
+    move is the tuple (crossing, reverse crossing, departure, arrival,
+    departure label, arrival label); the walkers push only these crossing
+    objects, so they compare crossings with `is`. moves[e] is the
+    (forward, backward) pair of edge e, and departing[v] lists the moves
+    leaving v in edge order (the forward move of an edge before its
+    backward one). The spanning tree is rooted at the base: parent[v] =
+    (parent vertex, crossing from v up to it, crossing from it down to v)
+    for every other vertex, and depth[v] counts tree edges from the base."""
 
     moves: dict[str, tuple[Move, Move]]
     departing: dict[str, tuple[Move, ...]]
@@ -124,17 +131,15 @@ def bs(m: int, n: int) -> LabeledGraph:
     return graph(("v",), (("e", "v", "v", n, m),), name=f"bs{m}_{n}")
 
 
-def _breadth_first(
-    base: str, departing: dict[str, list[Move]], usable: Container[str]
-) -> dict[str, Optional[Move]]:
-    """Vertices reachable from base along moves of usable edges, in
+def _breadth_first(base: str, departing: dict[str, list[Move]]) -> dict[str, Optional[Move]]:
+    """Vertices reachable from base along the departing moves, in
     breadth-first order, each with the move that first reached it."""
     reached: dict[str, Optional[Move]] = {base: None}
     queue = deque((base,))
     while queue:
         for m in departing[queue.popleft()]:
             b = m[3]
-            if m[0].edge in usable and b not in reached:
+            if b not in reached:
                 reached[b] = m
                 queue.append(b)
     return reached
@@ -143,7 +148,9 @@ def _breadth_first(
 def validate_graph(g: LabeledGraph) -> LabeledGraph:
     """Verify connectivity and nonzero integer labels; fix a base vertex and a
     spanning tree deterministically when absent, check a given one, and
-    attach the graph's index. An indexed graph is returned unchanged."""
+    attach the graph's index to the graph returned. No other code sets an
+    index, so an indexed graph passed these checks and is returned
+    unchanged."""
     if g.index is not None:
         return g
     if not g.vertices:
@@ -181,7 +188,7 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
     if base not in departing:
         raise SemanticError(f"base {clipped_name(base)} is not a vertex")
     # breadth-first spanning tree, edges taken in listed order
-    reached = _breadth_first(base, departing, moves)
+    reached = _breadth_first(base, departing)
     if len(reached) != len(g.vertices):
         raise Disconnected("graph is not connected")
     if g.spanning_tree is None:
@@ -199,7 +206,10 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
                 f"spanning tree has {len(tree)} edges; a spanning tree of"
                 f" {len(g.vertices)} vertices has {len(g.vertices) - 1}"
             )
-        reached = _breadth_first(base, departing, set(tree))
+        usable = set(tree)
+        reached = _breadth_first(
+            base, {v: [m for m in ms if m[0].edge in usable] for v, ms in departing.items()}
+        )
         if len(reached) != len(g.vertices):
             missing = next(v for v in g.vertices if v not in reached)
             raise SemanticError(f"spanning tree does not reach vertex {clipped_name(missing)}")
@@ -210,8 +220,10 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
             down, up, p = m[0], m[1], m[2]
             parent[v] = (p, up, down)
             depth[v] = depth[p] + 1
+    indexed = LabeledGraph(tuple(g.vertices), tuple(g.edges), base, tree, g.name)
     index = GraphIndex(moves, {v: tuple(ms) for v, ms in departing.items()}, parent, depth)
-    return LabeledGraph(tuple(g.vertices), tuple(g.edges), base, tree, g.name, index)
+    object.__setattr__(indexed, "index", index)
+    return indexed
 
 
 # -- words ---------------------------------------------------------------------

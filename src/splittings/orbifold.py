@@ -163,12 +163,12 @@ def _canonical_mixed(word, corners) -> BoundaryCircle:
     return BoundaryCircle("mixed", w, c)
 
 
-def _validate_circle(c: BoundaryCircle) -> Optional[BoundaryCircle]:
-    """Normalized circle, or None when the circle reduces to plain."""
+def _validate_circle(c: BoundaryCircle) -> BoundaryCircle:
+    """Normalized circle; an all-boundary mixed word is a plain circle."""
     if c.kind == "plain":
         if c.word or any(r is not None for r in c.corners):
             raise InvalidCircle("plain circle carries a word or corners")
-        return c
+        return BoundaryCircle.plain()
     if c.kind != "mixed":
         raise InvalidCircle(f"unknown circle kind {c.kind!r}")
     if not c.word:
@@ -182,7 +182,7 @@ def _validate_circle(c: BoundaryCircle) -> Optional[BoundaryCircle]:
     if merged is None:
         if any(r is not None for r in c.corners):
             raise InvalidCircle("corner order on a boundary segment")
-        return None
+        return BoundaryCircle.plain()
     word, corners = merged
     if len(word) == 1:
         # single closed mirror: zero junctions, no self-corner
@@ -227,11 +227,7 @@ def validate(o: Orbifold2) -> Orbifold2:
     for q in o.cone_points:
         if q < 2:
             raise ConeOrderTooSmall(f"cone order {q} < 2")
-    circles = []
-    for c in o.circles:
-        nc = _validate_circle(c)
-        circles.append(BoundaryCircle.plain() if nc is None else nc)
-    circles.sort(key=BoundaryCircle.sort_key)
+    circles = sorted(map(_validate_circle, o.circles), key=BoundaryCircle.sort_key)
     return Orbifold2(
         o.orientable, o.genus, tuple(sorted(o.cone_points)), tuple(circles)
     )

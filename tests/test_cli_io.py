@@ -443,6 +443,25 @@ class TestRun:
         assert "unrecognized arguments" in err and "usage:" in err
 
     @pytest.mark.parametrize(
+        "name, flags, message",
+        [
+            ("bs23.txt", ("--skeleton",), "--skeleton applies to an atlas, not a 'gbs' document"),
+            ("bs23.txt", ("--collapse",), "--collapse applies to an atlas, not a 'gbs' document"),
+            ("m3.txt", ("--skeleton",), "--skeleton applies to an atlas, not a 'master' document"),
+            ("m3.txt", ("--collapse",), "--collapse applies to an atlas, not a 'master' document"),
+            (
+                "tripods.txt", ("--skeleton", "--collapse"),
+                "--collapse applies to the cylinder quotient, not to --skeleton",
+            ),
+        ],
+        ids=["gbs-skeleton", "gbs-collapse", "master-skeleton", "master-collapse", "atlas-both"],
+    )
+    def test_export_dot_refuses_flags_it_would_ignore(self, name, flags, message):
+        # as with --json and --seed: a flag that changes nothing is refused
+        code, out, err = run("export", "dot", str(INPUTS / name), *flags)
+        assert (code, out, err) == (1, "", f"error: export dot {message}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("orbifold", "analyze", "pants.txt"),

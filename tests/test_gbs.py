@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from splittings.errors import (
     SplittingsError,
     ZeroLabel,
 )
-from splittings import gbs, tree_arithmetic as ta
+from splittings import cli_io, gbs, tree_arithmetic as ta
 from splittings.gbs import Cross, GroupWord, Pow
 
 from conftest import INPUTS, make_m3
@@ -83,16 +84,49 @@ class TestValidateGraph:
             )
 
 
+def _indexed_graph():
+    return make_m3(), "index"
+
+
+def _reduced_word():
+    g = make_m3()
+    w = W(g, ("t", "e", 1), ("a", "u", 2), ("t", "ep", -1))
+    sp.translation_length(g, w)
+    return w, "reduced"
+
+
+def _validated_atlas():
+    spec = cli_io.parse((INPUTS / "tripods.txt").read_text(encoding="utf-8")).payload
+    return spec.atlas, "validated"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_indexed_graph, _reduced_word, _validated_atlas],
+    ids=["LabeledGraph.index", "GroupWord.reduced", "CylinderAtlas.validated"],
+)
+def test_memo_field_contract(make):
+    # a memo is set only by the function that computed it: no constructor
+    # argument sets it, dataclasses.replace drops it, and equality, hashing
+    # and repr do not see it
+    obj, name = make()
+    memo = getattr(obj, name)
+    assert memo is not None
+    given = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init}
+    assert name not in given
+    with pytest.raises(TypeError):
+        type(obj)(**given, **{name: memo})
+    with pytest.raises(ValueError):
+        dataclasses.replace(obj, **{name: memo})
+    for fresh in (type(obj)(**given), dataclasses.replace(obj)):
+        assert getattr(fresh, name) is None
+        assert fresh == obj and hash(fresh) == hash(obj) and repr(fresh) == repr(obj)
+
+
 class TestGraphIndex:
     def test_indexed_graph_returned_unchanged(self, m3):
         assert m3.index is not None
         assert sp.validate_graph(m3) is m3
-
-    def test_index_invisible_to_equality_hash_repr(self, m3):
-        bare = sp.LabeledGraph(m3.vertices, m3.edges, m3.base, m3.spanning_tree, m3.name)
-        assert bare.index is None
-        assert bare == m3 and hash(bare) == hash(m3)
-        assert repr(bare) == repr(m3)
 
     def test_departing_in_edge_order(self, m3):
         assert tuple(m[0] for m in m3.index.departing["u"]) == (

@@ -112,6 +112,14 @@ class TestValidation:
         (c,) = o.circles
         assert c.is_plain()
 
+    @pytest.mark.parametrize(
+        "circle",
+        [mixed((B,)), mixed((B, B, B)), BoundaryCircle("plain", (), (None,))],
+        ids=["B", "BBB", "plain-with-empty-corner"],
+    )
+    def test_every_plain_circle_validates_to_one_value(self, circle):
+        assert orb(circles=(circle,)).circles == (BoundaryCircle.plain(),)
+
     def test_canonical_form_is_rotation_invariant(self):
         a = orb(circles=(mixed((M, M, B), (2, None, None)),))
         b = orb(circles=(mixed((M, B, M), (None, None, 2)),))

@@ -319,7 +319,7 @@ def test_each_word_is_reduced_once_per_graph_index(monkeypatch):
     for consume in word_consumers(M3):
         consume(w)
     assert len(calls) == 1
-    reindexed = sp.validate_graph(dataclasses.replace(M3, index=None))
+    reindexed = sp.validate_graph(dataclasses.replace(M3))
     assert reindexed.index is not M3.index
     for consume in word_consumers(reindexed):
         consume(w)

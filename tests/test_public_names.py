@@ -1,11 +1,15 @@
 """The command line and the scripts call the library by its public names:
 neither reads a `_`-prefixed name of another splittings module, as an
-attribute or in a `from ... import`. Dunders are allowed."""
+attribute or in a `from ... import`. Dunders are allowed. The public
+constants that README.md quotes carry the values it gives them."""
 
 import ast
 import pathlib
+import re
 
 import pytest
+
+from splittings import cli_io, gbs, orbifold
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CLIENTS = [ROOT / "src" / "splittings" / "cli_io.py", *sorted((ROOT / "scripts").glob("*.py"))]
@@ -67,3 +71,38 @@ def test_clients_read_no_private_name(path):
 )
 def test_guard_reads_private_names(source, names):
     assert [name for _, name in private_reads(source)] == names
+
+
+# "`NAME` = N", N with thousands commas, a line break allowed after "="
+README_CONSTANT = re.compile(r"`([A-Z][A-Z0-9_]*)` =\s+(\d+(?:,\d{3})*)")
+README_CONSTANTS = {
+    "CENSUS_MAX_BUDGET", "DEFAULT_SEARCH_BUDGET", "LATTICE_MAX_EDGES",
+    "LATTICE_MAX_WORDS", "LATTICE_MAX_WORD_LENGTH", "ORACLE_MAX_VERTICES",
+}
+
+
+def readme_constants(text):
+    """(name, value) of each constant that text quotes as "`NAME` = N"."""
+    return [(m[1], int(m[2].replace(",", ""))) for m in README_CONSTANT.finditer(text)]
+
+
+def module_value(name):
+    """The value of name in the first of gbs, orbifold and cli_io to define it."""
+    for module in (gbs, orbifold, cli_io):
+        if hasattr(module, name):
+            return getattr(module, name)
+    raise AssertionError(f"README.md quotes {name}, which no module defines")
+
+
+def test_readme_quotes_constants_as_defined():
+    quoted = readme_constants((ROOT / "README.md").read_text(encoding="utf-8"))
+    for name, value in quoted:
+        assert value == module_value(name), name
+    assert {name for name, _ in quoted} == README_CONSTANTS
+
+
+def test_readme_constant_guard_reads_each_form():
+    text = "`LATTICE_MAX_WORDS` = 1,000 and `ORACLE_MAX_VERTICES` =\n512, `X` ≈ 3"
+    assert readme_constants(text) == [("LATTICE_MAX_WORDS", 1000), ("ORACLE_MAX_VERTICES", 512)]
+    with pytest.raises(AssertionError, match="NO_SUCH_CAP"):
+        module_value("NO_SUCH_CAP")
