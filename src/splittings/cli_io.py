@@ -494,11 +494,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self.format_usage())
 
 
+def _a_document(kind: str) -> str:
+    """kind with the article that fits it, as in "an 'orbifold' document" or
+    "a gbs or master document"."""
+    article = "an" if kind.strip("'")[0] in "aeiou" else "a"
+    return f"{article} {kind} document"
+
+
 def _want(doc: Document, kinds: tuple[str, ...]) -> None:
     if doc.kind not in kinds:
-        raise SemanticError(
-            f"expected a {' or '.join(kinds)} document, got {doc.kind!r}"
-        )
+        raise SemanticError(f"expected {_a_document(' or '.join(kinds))}, got {doc.kind!r}")
 
 
 def _named_word(spec, wtext: str, g: gbs.LabeledGraph) -> gbs.GroupWord:
@@ -751,7 +756,7 @@ def _cmd_export_dot(args, doc: Document, input_digest: str):
         for flag in ("skeleton", "collapse"):
             if getattr(args, flag):
                 raise SemanticError(
-                    f"export dot --{flag} applies to an atlas, not a {doc.kind!r} document"
+                    f"export dot --{flag} applies to an atlas, not {_a_document(repr(doc.kind))}"
                 )
         yield export_dot(doc.payload.graph)
     elif doc.kind == "atlas":
@@ -768,7 +773,7 @@ def _cmd_export_dot(args, doc: Document, input_digest: str):
                 q = cyl.collapse_non_A(q)
             yield export_dot(q)
     else:
-        raise SemanticError(f"no graph to export in a {doc.kind!r} document")
+        raise SemanticError(f"no graph to export in {_a_document(repr(doc.kind))}")
 
 
 def _int_flag(low: Optional[int] = None, cap: Optional[tuple[str, int]] = None):

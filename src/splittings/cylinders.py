@@ -20,7 +20,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional
 
-from .errors import Disconnected, MissingFlag, SemanticError, UnclassedEnd, clipped, clipped_name
+from .errors import (
+    Disconnected, MissingFlag, SemanticError, UnclassedEnd, check_ids, clipped, clipped_name,
+)
 
 End = tuple[str, str]  # (edge orbit id, "o" | "t")
 
@@ -122,22 +124,13 @@ def validate_atlas(s: SkeletonGraph, a: CylinderAtlas) -> list[str]:
     records s in `validated`, so tree_of_cylinders_quotient on the same
     skeleton object does not check it again."""
     vids = s.vertex_ids()
-    for v in vids:
-        if not isinstance(v, str):
-            raise SemanticError(f"vertex orbit id {clipped_name(v)} is not a string")
-    for e in s.edges:
-        if not isinstance(e.id, str):
-            raise SemanticError(f"edge orbit id {clipped_name(e.id)} is not a string")
-    if len(set(vids)) != len(vids):
-        raise SemanticError("duplicate vertex orbit id")
+    check_ids(vids, [e.id for e in s.edges], " orbit")
     for v in vids:
         if _CYLINDER_ID.fullmatch(v):
             raise SemanticError(
                 f"vertex orbit id {clipped_name(v)} is reserved: cylinder orbits are"
                 " named Y1, Y2, ..."
             )
-    if len({e.id for e in s.edges}) != len(s.edges):
-        raise SemanticError("duplicate edge orbit id")
     ends_at: dict[str, list[End]] = {v: [] for v in vids}
     for e in s.edges:
         if e.origin not in ends_at or e.terminus not in ends_at:
@@ -206,15 +199,6 @@ def cylinder_orbits(s: SkeletonGraph, a: CylinderAtlas) -> list[tuple[str, ...]]
     return [tuple(sorted(groups[r])) for r in sorted(groups)]
 
 
-def _cylinder_ids(partition: list[tuple[str, ...]]) -> dict[str, str]:
-    """Map each edge orbit to its cylinder orbit id Y1, Y2, ..."""
-    out = {}
-    for i, part in enumerate(partition, start=1):
-        for eid in part:
-            out[eid] = f"Y{i}"
-    return out
-
-
 def tree_of_cylinders_quotient(s: SkeletonGraph, a: CylinderAtlas) -> QuotientGraph:
     """The bipartite quotient of the tree of cylinders. The atlas is
     validated first unless validate_atlas already accepted it on this
@@ -222,7 +206,8 @@ def tree_of_cylinders_quotient(s: SkeletonGraph, a: CylinderAtlas) -> QuotientGr
     if a.validated is not s:
         validate_atlas(s, a)
     partition = cylinder_orbits(s, a)
-    cyl_of = _cylinder_ids(partition)
+    names = [f"Y{i}" for i in range(1, len(partition) + 1)]
+    cyl_of = {eid: y for y, part in zip(names, partition) for eid in part}
     labels: dict[str, str] = {}
     for eid, label in a.stabilizers:
         y = cyl_of[eid]
@@ -246,8 +231,8 @@ def tree_of_cylinders_quotient(s: SkeletonGraph, a: CylinderAtlas) -> QuotientGr
                 edges.append(QEdge(v, c.name, y, c.in_A))
         elif cs:
             absorbed.append((v, cyl_of[cs[0].ends[0][0]]))
-    v1 = [(f"Y{i}", labels.get(f"Y{i}", "?")) for i in range(1, len(partition) + 1)]
-    return QuotientGraph(tuple(v0), tuple(v1), tuple(edges), tuple(absorbed))
+    v1 = tuple((y, labels.get(y, "?")) for y in names)
+    return QuotientGraph(tuple(v0), v1, tuple(edges), tuple(absorbed))
 
 
 def collapse_non_A(q: QuotientGraph) -> QuotientGraph:

@@ -35,6 +35,19 @@ def int_text(n: int) -> str:
         return f"<{'negative' if n < 0 else 'positive'} integer of {n.bit_length()} bits>"
 
 
+def check_ids(vertex_ids, edge_ids, kind: str) -> None:
+    """SemanticError unless every vertex and edge id is a string and neither
+    list repeats an id; kind is "" for a GBS graph, " orbit" for a skeleton."""
+    named = (("vertex", vertex_ids), ("edge", edge_ids))
+    for what, ids in named:
+        for i in ids:
+            if not isinstance(i, str):
+                raise SemanticError(f"{what}{kind} id {clipped_name(i)} is not a string")
+    for what, ids in named:
+        if len(set(ids)) != len(ids):
+            raise SemanticError(f"duplicate {what}{kind} id")
+
+
 def require_nonnegative(what: str, n: int) -> None:
     """SemanticError unless the bound n is an integer >= 0 (bool is an int
     subclass, so it passes)."""

@@ -41,6 +41,7 @@ from .errors import (
     NotHyperbolic,
     SemanticError,
     ZeroLabel,
+    check_ids,
     clipped,
     clipped_name,
     int_text,
@@ -155,16 +156,7 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
         return g
     if not g.vertices:
         raise Disconnected("empty graph")
-    for v in g.vertices:
-        if not isinstance(v, str):
-            raise SemanticError(f"vertex id {clipped_name(v)} is not a string")
-    for e in g.edges:
-        if not isinstance(e.id, str):
-            raise SemanticError(f"edge id {clipped_name(e.id)} is not a string")
-    if len(set(g.vertices)) != len(g.vertices):
-        raise SemanticError("duplicate vertex id")
-    if len({e.id for e in g.edges}) != len(g.edges):
-        raise SemanticError("duplicate edge id")
+    check_ids(g.vertices, [e.id for e in g.edges], "")
     moves: dict[str, tuple[Move, Move]] = {}
     departing: dict[str, list[Move]] = {v: [] for v in g.vertices}
     for e in g.edges:
@@ -254,14 +246,10 @@ class GroupWord:
 
     >>> g = bs(2, 3)
     >>> w = make_word(g, [("t", "e", 1), ("a", "v", 1)])
-    >>> before = repr(w)
     >>> translation_length(g, w)
     1
     >>> w.reduced[0] is g.index
     True
-    >>> fresh = GroupWord(w.base, w.items)
-    >>> w == fresh, hash(w) == hash(fresh), repr(w) == before == repr(fresh)
-    (True, True, True)
     """
 
     base: str
@@ -732,13 +720,19 @@ def modular_homomorphism(g: LabeledGraph, w: GroupWord) -> Fraction:
     """Product of lam/mu over forward crossings and mu/lam over backward
     ones; a homomorphism to the nonzero rationals, trivial on vertex
     powers. Read off the crossings the linear pass keeps: a pinch removes
-    lam/mu together with mu/lam."""
+    lam/mu together with mu/lam. The crossings are summed to a net
+    exponent per edge first, so each edge costs two powers and the product
+    is linear in the word's length."""
     g, linear, _ = _reduce(g, w)
-    num = den = 1
+    net: dict[str, int] = {}
     for c, _, _ in linear[1:]:
-        _, _, _, _, d, a = _move(g, c)
-        num *= d
-        den *= a
+        net[c.edge] = net.get(c.edge, 0) + c.sign
+    num = den = 1
+    for eid, n in net.items():
+        if n:
+            _, _, _, _, d, a = g.index.moves[eid][n < 0]
+            num *= d ** abs(n)
+            den *= a ** abs(n)
     return Fraction(num, den)
 
 

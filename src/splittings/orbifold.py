@@ -30,6 +30,7 @@ from .errors import (
     NotHyperbolic,
     SemanticError,
     clipped,
+    clipped_name,
     int_text,
     require_nonnegative,
 )
@@ -149,18 +150,13 @@ def _dihedral_maps(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...
     return tuple([(r, r) for r in rotations] + reflections)
 
 
-def _rotations_and_reflections(word, corners):
-    for p, q in _dihedral_maps(len(word)):
-        yield tuple(word[j] for j in p), tuple(corners[j] for j in q)
-
-
 def _canonical_mixed(word, corners) -> BoundaryCircle:
-    def key(wc):
-        w, c = wc
-        return (w, tuple(0 if r is None else r for r in c))
-
-    w, c = min(_rotations_and_reflections(word, corners), key=key)
-    return BoundaryCircle("mixed", w, c)
+    """The least dihedral image of a mixed circle, by sort_key."""
+    images = (
+        BoundaryCircle("mixed", tuple(word[j] for j in p), tuple(corners[j] for j in q))
+        for p, q in _dihedral_maps(len(word))
+    )
+    return min(images, key=BoundaryCircle.sort_key)
 
 
 def _validate_circle(c: BoundaryCircle) -> BoundaryCircle:
@@ -170,14 +166,14 @@ def _validate_circle(c: BoundaryCircle) -> BoundaryCircle:
             raise InvalidCircle("plain circle carries a word or corners")
         return BoundaryCircle.plain()
     if c.kind != "mixed":
-        raise InvalidCircle(f"unknown circle kind {c.kind!r}")
+        raise InvalidCircle(f"unknown circle kind {clipped_name(c.kind)}")
     if not c.word:
         raise EmptyMixedWord("mixed circle with empty word")
     if len(c.corners) != len(c.word):
         raise InvalidCircle("corners and word lengths differ")
     for tok in c.word:
         if tok not in (M, B):
-            raise InvalidCircle(f"unknown boundary token {tok!r}")
+            raise InvalidCircle(f"unknown boundary token {clipped_name(tok)}")
     merged = _merge_boundary_runs(c.word, c.corners)
     if merged is None:
         if any(r is not None for r in c.corners):
@@ -198,7 +194,7 @@ def _validate_circle(c: BoundaryCircle) -> BoundaryCircle:
             if not isinstance(r, int):
                 raise InvalidCircle(f"corner order {clipped(repr(r), str)} is not an integer")
             if r < 2:
-                raise CornerOrderTooSmall(f"corner order {r} < 2")
+                raise CornerOrderTooSmall(f"corner order {int_text(r)} < 2")
         elif r is not None:
             raise InvalidCircle("corner order at a non mirror-mirror adjacency")
     return _canonical_mixed(word, corners)
@@ -226,7 +222,7 @@ def validate(o: Orbifold2) -> Orbifold2:
     _check_surface(o)
     for q in o.cone_points:
         if q < 2:
-            raise ConeOrderTooSmall(f"cone order {q} < 2")
+            raise ConeOrderTooSmall(f"cone order {int_text(q)} < 2")
     circles = sorted(map(_validate_circle, o.circles), key=BoundaryCircle.sort_key)
     return Orbifold2(
         o.orientable, o.genus, tuple(sorted(o.cone_points)), tuple(circles)
@@ -241,8 +237,8 @@ def euler_characteristic(o: Orbifold2) -> Fraction:
     chi(surface) minus (1 - 1/q) per cone, minus (1 - 1/r)/2 per corner
     reflector, minus 1/4 per mirror-boundary junction; chi(surface) is
     2 - 2*genus - b for orientable, 2 - genus - b otherwise, with b the
-    number of boundary circles. The sum is taken in integers by _chi_part,
-    the census's formula, and made a Fraction once. A surface that cannot
+    number of boundary circles. The sum is taken in integers from the
+    census's terms and made a Fraction once. A surface that cannot
     exist (negative genus, or no cross-cap on a non-orientable one) raises
     InvalidOrbifold, as in validate.
 
@@ -250,14 +246,12 @@ def euler_characteristic(o: Orbifold2) -> Fraction:
     Fraction(-1, 42)
     """
     _check_surface(o)
-    quarters = 4 * (2 - (2 * o.genus if o.orientable else o.genus) - len(o.circles))
-    quarters -= 4 * len(o.cone_points)
+    quarters = 4 * (_surface_chi(o.orientable, o.genus) - len(o.cone_points))
     dens = list(o.cone_points)
     for c in o.circles:
-        for r in c.corner_orders():
-            quarters -= 2
-            dens.append(2 * r)
-        quarters -= c.junctions()
+        q, d = _circle_chi(c)
+        quarters += q
+        dens += d
     return Fraction(*_chi_part(quarters, dens))
 
 
@@ -469,6 +463,19 @@ def _circle_multisets(costs, by_cost, max_cost, start=0):
             yield (i,) + rest
 
 
+def _surface_chi(orientable: bool, genus: int) -> int:
+    """chi of the closed underlying surface."""
+    return 2 - 2 * genus if orientable else 2 - genus
+
+
+def _circle_chi(c: BoundaryCircle) -> tuple[int, list[int]]:
+    """A circle's share of chi as (quarters, dens), read as _chi_part reads
+    them: -1 per circle, -(1 - 1/r)/2 per corner reflector and -1/4 per
+    junction, so 1/(2r) in dens per corner."""
+    orders = c.corner_orders()
+    return -4 - 2 * len(orders) - c.junctions(), [2 * r for r in orders]
+
+
 def _chi_part(quarters: int, dens) -> tuple[int, int]:
     """quarters / 4 + sum(1 / x for x in dens) as a reduced pair (n, d)
     with d > 0."""
@@ -514,10 +521,9 @@ def census(
     shapes = _circle_shapes(budget)
     costs = [1 + len(c.word) for c in shapes]
     by_cost = [[i for i, c in enumerate(costs) if c <= r] for r in range(budget + 1)]
-    # each shape's share of chi: -1 per circle, -(1 - 1/r)/2 per corner
-    # reflector and -1/4 per junction, in quarters plus 1/(2r) per corner
-    quarters = [-4 - 2 * len(c.corner_orders()) - c.junctions() for c in shapes]
-    dens = [[2 * r for r in c.corner_orders()] for c in shapes]
+    shares = [_circle_chi(c) for c in shapes]
+    quarters = [q for q, _ in shares]
+    dens = [d for _, d in shares]
     circle_sets: list[tuple[BoundaryCircle, ...]] = []
     # the circle multisets of each total cost, as (index, chi part)
     circles_of_cost: list[list[tuple[int, int, int]]] = [[] for _ in range(budget + 1)]
@@ -549,8 +555,7 @@ def census(
         for orientable, genus, i, circles in blocks():
             cones = cone_sets[i]
             cn, cd = cone_parts[i]
-            # the surface's 2 - 2 * genus or 2 - genus, plus the cones
-            bn = cn + (2 - 2 * genus if orientable else 2 - genus) * cd
+            bn = cn + _surface_chi(orientable, genus) * cd
             for j, qn, qd in circles:
                 d = math.lcm(cd, qd)
                 n = bn * (d // cd) + qn * (d // qd)

@@ -10,6 +10,7 @@ factors; verify_modularity checks them against lengths on coset paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -159,6 +160,4 @@ def elliptic_in_lcm(
     """Whether w is elliptic in the lcm of the given collapses."""
     if not Ks:
         raise SemanticError("elliptic_in_lcm needs at least one collapse")
-    seq = gbs.crossing_sequence(m.graph, w)
-    union = frozenset().union(*(K.kept for K in Ks))
-    return all(e not in union for e in seq)
+    return length_in_collapse(m, functools.reduce(lcm, Ks), w) == 0

@@ -462,6 +462,35 @@ class TestRun:
         assert (code, out, err) == (1, "", f"error: export dot {message}\n")
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("orbifold", "analyze", "m3.txt"), "expected an orbifold document, got 'master'"),
+            (
+                ("gbs", "length", "pants.txt", "--word", "t"),
+                "expected a gbs or master document, got 'orbifold'",
+            ),
+            (("gbs", "report", "tripods.txt"), "expected a gbs or master document, got 'atlas'"),
+            (("lattice", "verify", "bs23.txt"), "expected a master document, got 'gbs'"),
+            (("cylinders", "quotient", "pants.txt"), "expected an atlas document, got 'orbifold'"),
+            (("export", "dot", "pants.txt"), "no graph to export in an 'orbifold' document"),
+            (("export", "dot", None), "no graph to export in an 'empty' document"),
+        ],
+        ids=[
+            "orbifold-analyze", "gbs-length", "gbs-report", "lattice-verify",
+            "cylinders-quotient", "export-dot", "export-dot-empty",
+        ],
+    )
+    def test_each_command_refuses_other_document_kinds(self, argv, message, tmp_path):
+        # the article fits the kind: "an orbifold", "an atlas", "a gbs"
+        if argv[2] is None:
+            path = tmp_path / "empty.txt"
+            path.write_text("", encoding="utf-8")
+        else:
+            path = INPUTS / argv[2]
+        code, out, err = run(*argv[:2], str(path), *argv[3:])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("orbifold", "analyze", "pants.txt"),

@@ -107,8 +107,8 @@ def _validated_atlas():
 )
 def test_memo_field_contract(make):
     # a memo is set only by the function that computed it: no constructor
-    # argument sets it, dataclasses.replace drops it, and equality, hashing
-    # and repr do not see it
+    # argument sets it, by keyword or by position, dataclasses.replace drops
+    # it, and equality, hashing and repr do not see it
     obj, name = make()
     memo = getattr(obj, name)
     assert memo is not None
@@ -116,6 +116,8 @@ def test_memo_field_contract(make):
     assert name not in given
     with pytest.raises(TypeError):
         type(obj)(**given, **{name: memo})
+    with pytest.raises(TypeError):
+        type(obj)(*given.values(), memo)
     with pytest.raises(ValueError):
         dataclasses.replace(obj, **{name: memo})
     for fresh in (type(obj)(**given), dataclasses.replace(obj)):

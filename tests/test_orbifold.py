@@ -102,6 +102,41 @@ class TestValidation:
         with pytest.raises(InvalidCircle):
             orb(circles=(mixed((M,), (2,)),))
 
+    @pytest.mark.parametrize(
+        "circle, message",
+        [
+            (BoundaryCircle("plain", (M,)), "plain circle carries a word or corners"),
+            (BoundaryCircle("plain", (), (2,)), "plain circle carries a word or corners"),
+            (BoundaryCircle("weird"), "unknown circle kind 'weird'"),
+            (BoundaryCircle("mixed", (M, M), (2,)), "corners and word lengths differ"),
+            (mixed((M, "X")), "unknown boundary token 'X'"),
+            (mixed((B, B), (None, 3)), "corner order on a boundary segment"),
+            # a long name is clipped
+            (BoundaryCircle("k" * 100), "unknown circle kind 'kkkkkkkkkkkkkkkkkkkk'... (100 chars)"),
+            (mixed((M, "t" * 100)), "unknown boundary token 'tttttttttttttttttttt'... (100 chars)"),
+            (mixed((M, ("x",) * 30)), "unknown boundary token ('x', 'x', 'x', 'x',... (150 chars)"),
+        ],
+        ids=[
+            "plain-word", "plain-corner", "kind", "lengths", "token", "boundary-corner",
+            "long-kind", "long-token", "foreign-token",
+        ],
+    )
+    def test_circle_checks(self, circle, message):
+        with pytest.raises(InvalidCircle) as got:
+            orb(circles=(circle,))
+        assert str(got.value) == message
+
+    def test_orders_past_the_digit_limit_fail_as_package_errors(self):
+        # such an integer has no decimal text; the message names its size
+        huge = -(10**5000)
+        text = f"<negative integer of {huge.bit_length()} bits>"
+        with pytest.raises(ConeOrderTooSmall) as got:
+            orb(cones=(2, huge))
+        assert str(got.value) == f"cone order {text} < 2"
+        with pytest.raises(CornerOrderTooSmall) as got:
+            orb(circles=(mixed((M, M), (2, huge)),))
+        assert str(got.value) == f"corner order {text} < 2"
+
     def test_adjacent_boundary_segments_merge(self):
         o = orb(circles=(mixed((B, B, M)),))
         (c,) = o.circles
@@ -239,6 +274,10 @@ class TestSmall:
 
 
 class TestFiniteMcg:
+    def test_not_hyperbolic_raises(self):
+        with pytest.raises(NotHyperbolic, match="mapping-class-group classification"):
+            sp.has_finite_mcg(orb(cones=(2, 2, 2)))
+
     def test_pants(self, pants):
         v = sp.has_finite_mcg(pants)
         assert v.finite and v.family == "S2_3"
@@ -491,7 +530,10 @@ class TestCanonicalShapes:
         # or the other way round; mirror-mirror corners follow their arcs
         word = tuple(M if i % 3 else B for i in range(n))
         corners = tuple(range(10, 10 + n))
-        images = list(orbifold._rotations_and_reflections(word, corners))
+        images = [
+            (tuple(word[j] for j in p), tuple(corners[j] for j in q))
+            for p, q in orbifold._dihedral_maps(n)
+        ]
         assert len(images) == 2 * n and images[0] == (word, corners)
         for w, c in images:
             pairs = {(frozenset((w[i], w[(i + 1) % n])), c[i]) for i in range(n)}

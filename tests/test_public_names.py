@@ -1,11 +1,14 @@
 """The command line and the scripts call the library by its public names:
 neither reads a `_`-prefixed name of another splittings module, as an
 attribute or in a `from ... import`. Dunders are allowed. The public
-constants that README.md quotes carry the values it gives them."""
+constants that README.md quotes carry the values it gives them, and its
+`$ splittings ...` examples print what it shows."""
 
 import ast
+import io
 import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -106,3 +109,35 @@ def test_readme_constant_guard_reads_each_form():
     assert readme_constants(text) == [("LATTICE_MAX_WORDS", 1000), ("ORACLE_MAX_VERTICES", 512)]
     with pytest.raises(AssertionError, match="NO_SUCH_CAP"):
         module_value("NO_SUCH_CAP")
+
+
+def readme_examples(text):
+    """(argv, output) of each "$ splittings ..." line in a ```text block of
+    text: the words after "splittings", and the lines that follow it up to
+    the next blank line, "$" line or the end of the block."""
+    examples = []
+    for block in re.findall(r"^```text\n(.*?)^```", text, re.M | re.S):
+        for m in re.finditer(r"^\$ splittings (.*)\n((?:(?!\$ )[^\n]+\n)*)", block, re.M):
+            examples.append((shlex.split(m[1]), m[2]))
+    return examples
+
+
+def test_readme_examples_print_what_they_show():
+    examples = readme_examples((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert [argv[:2] for argv, _ in examples] == [
+        ["gbs", "report"], ["gbs", "length"], ["cylinders", "quotient"],
+    ]
+    for argv, shown in examples:
+        out, err = io.StringIO(), io.StringIO()
+        argv = [str(ROOT / a) if a.startswith("inputs/") else a for a in argv]
+        assert cli_io.run(argv, out, err) == 0, err.getvalue()
+        assert out.getvalue() == shown, argv
+
+
+def test_readme_example_reader_reads_each_form():
+    text = (
+        "```sh\n$ splittings no\n```\n"
+        "```text\n$ splittings a b 'c d'\nx = 1\ny\n\n$ splittings e\nz\n```\n"
+        "```text\n$ splittings f\n```\n"
+    )
+    assert readme_examples(text) == [(["a", "b", "c d"], "x = 1\ny\n"), (["e"], "z\n"), (["f"], "")]
