@@ -240,7 +240,7 @@ def euler_characteristic(o: Orbifold2) -> Fraction:
     number of boundary circles. The sum is taken in integers from the
     census's terms and made a Fraction once. A surface that cannot
     exist (negative genus, or no cross-cap on a non-orientable one) raises
-    InvalidOrbifold, as in validate.
+    InvalidOrbifold, and a circle that validate rejects raises as there.
 
     >>> euler_characteristic(validate(Orbifold2(True, 0, (2, 3, 7))))
     Fraction(-1, 42)
@@ -249,7 +249,7 @@ def euler_characteristic(o: Orbifold2) -> Fraction:
     quarters = 4 * (_surface_chi(o.orientable, o.genus) - len(o.cone_points))
     dens = list(o.cone_points)
     for c in o.circles:
-        q, d = _circle_chi(c)
+        q, d = _circle_chi(_validate_circle(c))
         quarters += q
         dens += d
     return Fraction(*_chi_part(quarters, dens))

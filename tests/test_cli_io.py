@@ -335,6 +335,19 @@ class TestRun:
         assert code == 0
         assert "rigid; T_co = T_J" in out
 
+    def test_report_exit_1_past_the_divisibility_cap(self, tmp_path):
+        # one vertex, more loops than the criterion compares; a loop has
+        # both its ends at the vertex
+        loops = sp.gbs.DIVISIBILITY_MAX_ENDS // 2 + 1
+        path = tmp_path / "many_loops.txt"
+        edges = "".join(f"edge e{i}: v(2) -- v(3)\n" for i in range(loops))
+        path.write_text("[gbs]\nvertex v\n" + edges)
+        code, out, err = run("gbs", "report", str(path))
+        assert code == 1 and out == ""
+        assert_one_error_line(err, "divisibility cap")
+        assert f"vertex 'v' has {2 * loops} edge ends" in err
+        assert "DIVISIBILITY_MAX_ENDS" in err
+
     def test_analyze_pants_json(self):
         code, out, _ = run(
             "orbifold", "analyze", str(INPUTS / "pants.txt"), "--json"

@@ -360,6 +360,21 @@ class TestAxisGap:
         with pytest.raises(NotHyperbolic):
             sp.axis_gap(bs23, a, t)
 
+    def test_words_at_different_bases_rejected(self, m3):
+        # both inputs are hyperbolic, so the products are what fails
+        tu = sp.make_word(m3, [("t", "e", 1)], base="u")
+        tv = sp.make_word(m3, [("t", "ep", 1)], base="v")
+        for w1, w2 in ((tu, tv), (tv, tu)):
+            with pytest.raises(InvalidPath, match="^concatenated words must share a base vertex$"):
+                sp.axis_gap(m3, w1, w2)
+
+    def test_elliptic_input_rejected_before_bases_are_compared(self, m3):
+        au = sp.make_word(m3, [("a", "u", 1)], base="u")
+        tv = sp.make_word(m3, [("t", "ep", 1)], base="v")
+        for w1, w2 in ((au, tv), (tv, au)):
+            with pytest.raises(NotHyperbolic):
+                sp.axis_gap(m3, w1, w2)
+
     def test_product_lengths_match_lemma(self, m3):
         # disjoint case: both products have length l1 + l2 + 2d
         te = W(m3, ("t", "e", 1))
@@ -565,6 +580,23 @@ class TestDivisibility:
         offenders = sp.divisibility_criterion(m3)
         assert offenders["u"] == (2, 2)
         assert offenders["v"] == (2, 2)
+
+    def test_vertex_at_the_cap_is_answered(self):
+        # a loop has both its ends at its vertex
+        loops = [(f"e{i}", "v", "v", 2, 3) for i in range(gbs.DIVISIBILITY_MAX_ENDS // 2)]
+        assert sp.divisibility_criterion(sp.graph(("v",), loops)) == {"v": (2, 2)}
+
+    def test_vertex_over_the_cap_raises(self):
+        cap = gbs.DIVISIBILITY_MAX_ENDS
+        hub = "h" * 50
+        spokes = [(f"e{i}", hub, f"w{i}", 3, 2) for i in range(cap + 1)]
+        g = sp.graph([hub] + [f"w{i}" for i in range(cap + 1)], spokes)
+        with pytest.raises(SemanticError) as got:
+            sp.divisibility_criterion(g)
+        message = str(got.value)
+        assert f"vertex 'hhhhhhhhhhhhhhhhhhhh'... (50 chars) has {cap + 1} edge ends" in message
+        assert f"DIVISIBILITY_MAX_ENDS = {cap}" in message
+        assert hub not in message  # the vertex name is clipped
 
 
 class TestJsjReport:

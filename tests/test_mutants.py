@@ -29,15 +29,16 @@ def W(g, *letters):
     ids=["bs23-same", "bs23-meet", "m3-disjoint", "m3-mixed"],
 )
 def test_axis_gap_catches_a_length_off_by_one_on_products(monkeypatch, g, w1, w2):
-    # the two inputs keep their lengths; each product reads one too long,
-    # which neither the meeting nor the disjoint case of the dichotomy allows
+    # the two inputs keep their lengths; each product, composed from the
+    # inputs' stored passes, reads one too long, which neither the meeting
+    # nor the disjoint case of the dichotomy allows
     u1, u2 = W(g, *w1), W(g, *w2)
     sp.axis_gap(g, u1, u2)  # the true lengths pass
-    true_length = gbs.translation_length
+    true_length = gbs._composed_length
 
-    def off_by_one(graph, w):
-        return true_length(graph, w) + (w is not u1 and w is not u2)
+    def off_by_one(graph, entries):
+        return true_length(graph, entries) + 1
 
-    monkeypatch.setattr(gbs, "translation_length", off_by_one)
+    monkeypatch.setattr(gbs, "_composed_length", off_by_one)
     with pytest.raises(IdentityViolation, match="axis dichotomy failed"):
         gbs.axis_gap(g, u1, u2)

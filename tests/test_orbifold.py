@@ -90,6 +90,37 @@ class TestValidation:
         with pytest.raises(InvalidOrbifold, match="is not an integer"):
             sp.euler_characteristic(o)
 
+    @pytest.mark.parametrize(
+        "c, error",
+        [
+            (BoundaryCircle("weird"), InvalidCircle),
+            (mixed((M, M), ("x", 3)), InvalidCircle),
+            (mixed((M, M, B), (2.0, None, None)), InvalidCircle),
+            (mixed((M, M)), InvalidCircle),
+            (mixed(()), EmptyMixedWord),
+        ],
+        ids=["unknown-kind", "str-corner", "float-corner", "no-corner", "empty-word"],
+    )
+    def test_euler_characteristic_checks_the_circles(self, c, error):
+        # an unvalidated circle has no share of chi; the error is
+        # validate's, type and message
+        o = Orbifold2(True, 0, (), (c,))
+        with pytest.raises(error) as expected:
+            sp.validate(o)
+        with pytest.raises(error) as got:
+            sp.euler_characteristic(o)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "c",
+        [mixed((B, B)), mixed((M, B, B)), mixed((B, M, M, B), (None, 3, None, None))],
+        ids=["all-boundary", "boundary-run", "rotated"],
+    )
+    def test_euler_characteristic_of_unnormalized_circles(self, c):
+        # a valid circle keeps its share of chi through normalization
+        o = Orbifold2(False, 1, (2,), (c,))
+        assert sp.euler_characteristic(o) == sp.euler_characteristic(sp.validate(o))
+
     def test_mirror_adjacency_needs_corner(self):
         with pytest.raises(InvalidCircle):
             orb(circles=(mixed((M, M)),))

@@ -457,6 +457,38 @@ def test_conjugacy_invariance_on_random_graphs(gw):
     assert q(g, conj) == q(g, w)
 
 
+@given(graph_with_words(2))
+def test_composed_lengths_match_reduced_concatenations(gw):
+    # products composed from the factors' stored passes against the
+    # reduction of the concatenated words: u w, u^-1 w, u u^-1 (everything
+    # cancels at the junction) and the commutator u w u^-1 w^-1
+    g, (u, w) = gw
+    x, y = gbs._reduce(g, u)[1], gbs._reduce(g, w)[1]
+    x_inv, y_inv = gbs._inverse_entries(g, x), gbs._inverse_entries(g, y)
+    u_inv, w_inv = sp.inverse(u), sp.inverse(w)
+
+    def product(*factors):
+        entries = factors[0]
+        for f in factors[1:]:
+            entries = gbs._product_entries(g, entries, f)
+        return entries
+
+    assert product(x, x_inv) == [(None, 0, u.base)]
+    cases = [
+        (product(x, y), sp.concat(u, w)),
+        (product(x_inv, y), sp.concat(u_inv, w)),
+        (product(x, x_inv), sp.concat(u, u_inv)),
+        (product(x, y, x_inv, y_inv), sp.concat(sp.concat(u, w), sp.concat(u_inv, w_inv))),
+    ]
+    for entries, word in cases:
+        assert gbs._composed_length(g, entries) == sp.translation_length(g, word)
+        # reduced words of one element cross the same edges in the same order
+        linear = gbs._linear_reduce(g, word)
+        assert [c for c, _, _ in entries[1:]] == [c for c, _, _ in linear[1:]]
+    # composing reads the stored passes and stores nothing
+    assert u.reduced[1] is x and w.reduced[1] is y
+
+
 @given(gbs_graphs())
 def test_validate_returns_indexed_graph(g):
     assert sp.validate_graph(g) is g

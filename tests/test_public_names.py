@@ -79,8 +79,9 @@ def test_guard_reads_private_names(source, names):
 # "`NAME` = N", N with thousands commas, a line break allowed after "="
 README_CONSTANT = re.compile(r"`([A-Z][A-Z0-9_]*)` =\s+(\d+(?:,\d{3})*)")
 README_CONSTANTS = {
-    "CENSUS_MAX_BUDGET", "DEFAULT_SEARCH_BUDGET", "LATTICE_MAX_EDGES",
-    "LATTICE_MAX_WORDS", "LATTICE_MAX_WORD_LENGTH", "ORACLE_MAX_VERTICES",
+    "CENSUS_MAX_BUDGET", "DEFAULT_SEARCH_BUDGET", "DIVISIBILITY_MAX_ENDS",
+    "LATTICE_MAX_EDGES", "LATTICE_MAX_WORDS", "LATTICE_MAX_WORD_LENGTH",
+    "ORACLE_MAX_VERTICES",
 }
 
 
