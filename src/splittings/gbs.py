@@ -17,13 +17,14 @@ ball_displacement_oracle recomputes it from explicit tree geometry and
 serves as the independent check of the Britton engine.
 
 validate_graph attaches a GraphIndex (moves by edge id, spanning-tree
-parents and depths) to the graph it returns, and nothing else sets one, so
-crossing lookups are dict reads, tree paths cost O(depth) and reductions
-O(n) in word items. A move holds a crossing with its reverse, its departure
-and arrival vertices and labels; every word walker reads crossings through
-the moves. A word keeps its linear pass and the cyclic pass's (k, p) for
-the graph index it was first reduced on (GroupWord.reduced), so later
-length questions read it.
+parents and depths, and a route table that make_word fills at the base) to
+the graph it returns, and nothing else sets one, so crossing lookups are
+dict reads, a letter is routed through the tree once per index in O(depth)
+and reductions cost O(n) in word items. A move holds a crossing with its
+reverse, its departure and arrival vertices and labels; every word walker
+reads crossings through the moves. A word keeps its linear pass and the
+cyclic pass's (k, p) for the graph index it was first reduced on
+(GroupWord.reduced), so later length questions read it.
 """
 
 from __future__ import annotations
@@ -103,12 +104,17 @@ class GraphIndex:
     leaving v in edge order (the forward move of an edge before its
     backward one). The spanning tree is rooted at the base: parent[v] =
     (parent vertex, crossing from v up to it, crossing from it down to v)
-    for every other vertex, and depth[v] counts tree edges from the base."""
+    for every other vertex, and depth[v] counts tree edges from the base.
+    routes is make_word's route table at the base, filled on first use: the
+    items of each distinct letter routed there, keyed by (kind, name,
+    exponent, type of exponent). Its lists are shared by every word that
+    spells the letter and never mutated, and they go with the index."""
 
     moves: dict[str, tuple[Move, Move]]
     departing: dict[str, tuple[Move, ...]]
     parent: dict[str, tuple[str, Cross, Cross]]
     depth: dict[str, int]
+    routes: dict[tuple, list[Item]] = field(default_factory=dict)
 
 
 def graph(vertices: Iterable[str], edges: Iterable[tuple], name: str = "") -> LabeledGraph:
@@ -342,7 +348,8 @@ def _letter_route(g: LabeledGraph, b: str, kind, name, k) -> list[Item]:
     """The items of one surface letter as a closed path at b: the tree
     route to the letter's start, its power or crossing, and the tree route
     back. A list, not a tuple: CPython 3.11 keeps freed 20-item tuples on a
-    free list it never reuses, so per-call route tuples would pile up there."""
+    free list it never reuses, so the routes of per-call tables (words at
+    another base) would pile up there as tuples."""
     if not isinstance(k, int):
         raise InvalidPath(f"exponent must be an integer, got {clipped(repr(k), str)}")
     if kind == "a" and name in g.index.depth:
@@ -370,14 +377,16 @@ def _letter_route(g: LabeledGraph, b: str, kind, name, k) -> list[Item]:
 def make_word(g: LabeledGraph, letters: Iterable[tuple], base: Optional[str] = None) -> GroupWord:
     """Build a closed word from surface letters, routing each letter through
     the spanning tree: a[v]^n conjugates a vertex power to the base, t[e]
-    crosses e between tree connectors. Each distinct letter is routed once
-    per call and its items are shared by every later copy; the type of the
-    exponent is part of the key, so letters that are equal but print
-    differently (exponent True and 1) keep their own items."""
+    crosses e between tree connectors. At the graph's base each distinct
+    letter is routed once per graph index, into GraphIndex.routes, and its
+    items are shared by every later copy in any word; at another base it is
+    routed once per call. The type of the exponent is part of the key, so
+    letters that are equal but print differently (exponent True and 1) keep
+    their own items."""
     g = validate_graph(g)
     b = base if base is not None else g.base
     items: list[Item] = []
-    routes: dict[tuple, list[Item]] = {}
+    routes = g.index.routes if b == g.base else {}
     letter = letters  # named when the letters cannot be iterated
     try:
         for letter in letters:
@@ -668,7 +677,7 @@ def _elements(g: LabeledGraph, max_len: int) -> Iterator[tuple[GroupWord, list[s
     alphabet = [("a", v, k) for v in g.vertices for k in (1, -1)]
     alphabet += [("t", e.id, k) for e in g.edges for k in (1, -1)]
     # letter i and its inverse i ^ 1 sit side by side
-    routes = [tuple(_letter_route(g, g.base, *x)) for x in alphabet]
+    routes = [make_word(g, (x,)).items for x in alphabet]
     identity: tuple = ((), 0)
     seen = {identity}
     # (word items, element key, index of the inverse of the last letter)

@@ -157,6 +157,70 @@ def test_make_word_matches_routing_each_letter(g, data):
     assert w == ref and repr(w) == repr(ref)
 
 
+@given(graph_with_words(2))
+def test_route_table_matches_routing_each_letter(gw):
+    # the drawn words filled part of g's route table, and a re-indexed copy
+    # of g starts with an empty one; on both, every letter gives the
+    # reference's items on its first call and again on a table hit, and
+    # exponent True keeps its own entry apart from 1. Words at the other
+    # bases, asked before and after the base's, neither read nor fill it
+    g, _ = gw
+    fresh = sp.validate_graph(dataclasses.replace(g))
+    assert fresh.index.routes == {}
+    alphabet = [("a", v, k) for v in g.vertices for k in (-2, 1, True)]
+    alphabet += [("t", e.id, k) for e in g.edges for k in (1, True, -1)]
+
+    def at_other_bases(h, letter):
+        for b in h.vertices:
+            if b != h.base:
+                ref = routed_word(h, [letter], b).items
+                assert repr(sp.make_word(h, [letter], b).items) == repr(ref)
+
+    for h in (fresh, g):
+        for letter in alphabet:
+            at_other_bases(h, letter)
+            ref = routed_word(h, [letter]).items
+            first = sp.make_word(h, [letter])
+            route = h.index.routes[(*letter, type(letter[2]))]
+            again = sp.make_word(h, [letter, letter])
+            assert h.index.routes[(*letter, type(letter[2]))] is route
+            assert repr(first.items) == repr(ref)
+            assert repr(again.items) == repr(ref + ref)
+            at_other_bases(h, letter)
+        for kind, name, k in alphabet:
+            if k is True:
+                one = h.index.routes[(kind, name, 1, int)]
+                assert h.index.routes[(kind, name, True, bool)] is not one
+
+
+def test_route_table_starts_empty_on_a_relabelled_graph():
+    # words on BS(2,3) fill its table before dataclasses.replace relabels
+    # it to (4,2); the relabelled graph routes with its own table, and
+    # t a^2 t^-1 reduces by its own labels
+    g = sp.validate_graph(sp.bs(2, 3))
+    letters = (("t", "e", 1), ("a", "v", 2), ("t", "e", -1))
+    on_g = sp.make_word(g, letters)
+    assert len(g.index.routes) == 3
+    r = sp.validate_graph(dataclasses.replace(g, edges=(Edge("e", "v", "v", 4, 2),)))
+    assert r.index.routes == {}
+    w = sp.make_word(r, letters)
+    assert repr(w.items) == repr(routed_word(r, letters).items)
+    assert sp.britton_reduce(r, w).word == sp.GroupWord("v", (Pow("v", 4),))
+    assert sp.britton_reduce(g, on_g).word == sp.GroupWord("v", (Pow("v", 3),))
+
+
+def test_route_table_belongs_to_its_graph():
+    # two triangles with the same vertex and edge names and different
+    # spanning trees: a[w] goes u-v-w along f, g on the first and along h on
+    # the second, so a table shared by both graphs routes the second wrongly
+    vertices = ("u", "v", "w")
+    edges = (Edge("f", "u", "v", 2, 3), Edge("g", "v", "w", 1, 2), Edge("h", "u", "w", 3, 1))
+    letters = (("a", "w", 1), ("t", "h", 1), ("t", "f", -1))
+    for tree in (("f", "g"), ("f", "h")):
+        g = sp.validate_graph(sp.LabeledGraph(vertices, edges, "u", tree))
+        assert sp.make_word(g, letters).items == routed_word(g, letters).items
+
+
 @pytest.mark.parametrize(
     "letters",
     [

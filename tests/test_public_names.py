@@ -1,6 +1,7 @@
 """The command line and the scripts call the library by its public names:
 neither reads a `_`-prefixed name of another splittings module, as an
-attribute or in a `from ... import`. Dunders are allowed. The public
+attribute or in a `from ... import`. Dunders are allowed. The package's
+`__all__` lists each name its `__init__` imports, once. The public
 constants that README.md quotes carry the values it gives them, and its
 `$ splittings ...` examples print what it shows."""
 
@@ -12,6 +13,7 @@ import shlex
 
 import pytest
 
+import splittings
 from splittings import cli_io, gbs, orbifold
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -55,6 +57,20 @@ def private_reads(source):
 @pytest.mark.parametrize("path", CLIENTS, ids=lambda p: p.name)
 def test_clients_read_no_private_name(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_star_import_binds_exactly_all():
+    bound: dict = {}
+    exec("from splittings import *", bound)
+    del bound["__builtins__"]
+    assert len(set(splittings.__all__)) == len(splittings.__all__)
+    assert set(bound) == set(splittings.__all__)
+    init = ast.parse((ROOT / "src" / "splittings" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert splittings.__all__ == imported
 
 
 @pytest.mark.parametrize(
