@@ -56,11 +56,11 @@ Letters = tuple[tuple, ...]
 # E = 10 about 0.7 s (py3.11 on a 2-core Xeon); each edge costs ~2.5-3x.
 LATTICE_MAX_EDGES = 9
 # The sampled words stream: each is drawn, reduced and normalized as
-# verify_modularity reads it, which keeps only its crossing sequence and
-# coset-path shift. So --words and --maxlen bound the time with E, not the
-# memory. At both caps a keep-less E = 9 loop master takes about 3.7 s, a
-# 32-vertex cycle master with 3 keeps 3.9 s and m3.txt 0.6 s, each under
-# 27 MiB peak RSS (same host, one process, interpreter start included).
+# verify_modularity reads it, which keeps only its crossing count per orbit
+# and coset-path shift. So --words and --maxlen bound the time with E, not
+# the memory. At both caps a keep-less E = 9 loop master takes about 1.6 s,
+# a 32-vertex cycle master with 3 keeps 2.0 s and m3.txt 0.4 s, each under
+# 24 MiB peak RSS (same host, one process, interpreter start included).
 LATTICE_MAX_WORDS = 1_000
 LATTICE_MAX_WORD_LENGTH = 200
 

@@ -17,10 +17,10 @@ ball_displacement_oracle recomputes it from explicit tree geometry and
 serves as the independent check of the Britton engine.
 
 validate_graph attaches a GraphIndex (moves by edge id, spanning-tree
-parents and depths, and a route table that make_word fills at the base) to
-the graph it returns, and nothing else sets one, so crossing lookups are
-dict reads, a letter is routed through the tree once per index in O(depth)
-and reductions cost O(n) in word items. A move holds a crossing with its
+parents, and a route table that make_word fills at the base) to the graph
+it returns, and nothing else sets one, so crossing lookups are dict reads,
+a letter is routed through the tree once per index in O(depth) and
+reductions cost O(n) in word items. A move holds a crossing with its
 reverse, its departure and arrival vertices and labels; every word walker
 reads crossings through the moves. A word keeps its linear pass and the
 cyclic pass's (k, p) for the graph index it was first reduced on
@@ -104,16 +104,15 @@ class GraphIndex:
     leaving v in edge order (the forward move of an edge before its
     backward one). The spanning tree is rooted at the base: parent[v] =
     (parent vertex, crossing from v up to it, crossing from it down to v)
-    for every other vertex, and depth[v] counts tree edges from the base.
-    routes is make_word's route table at the base, filled on first use: the
-    items of each distinct letter routed there, keyed by (kind, name,
-    exponent, type of exponent). Its lists are shared by every word that
-    spells the letter and never mutated, and they go with the index."""
+    for every other vertex. routes is make_word's route table, filled on
+    first use: the items of each distinct letter routed at the base, keyed
+    by (kind, name, exponent, type of exponent), one route per distinct
+    exponent. Its lists are shared by every word that spells the letter and
+    never mutated, and they live as long as the index."""
 
     moves: dict[str, tuple[Move, Move]]
     departing: dict[str, tuple[Move, ...]]
     parent: dict[str, tuple[str, Cross, Cross]]
-    depth: dict[str, int]
     routes: dict[tuple, list[Item]] = field(default_factory=dict)
 
 
@@ -136,6 +135,15 @@ def bs(m: int, n: int) -> LabeledGraph:
     """The Baumslag-Solitar group BS(m,n) = <a,t | t a^m t^-1 = a^n> as a
     one-loop graph; the forward crossing of the loop is the letter t."""
     return graph(("v",), (("e", "v", "v", n, m),), name=f"bs{m}_{n}")
+
+
+def _is_vertex(departing: dict[str, Any], v) -> bool:
+    """Whether v is a key of departing, a table keyed by vertex; an
+    unhashable v names no vertex."""
+    try:
+        return v in departing
+    except TypeError:
+        return False
 
 
 def _breadth_first(base: str, departing: dict[str, list[Move]]) -> dict[str, Optional[Move]]:
@@ -162,6 +170,9 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
         return g
     if not g.vertices:
         raise Disconnected("empty graph")
+    for e in g.edges:
+        if not isinstance(e, Edge):
+            raise SemanticError(f"edge {clipped_name(e)} is not an Edge")
     check_ids(g.vertices, [e.id for e in g.edges], "")
     moves: dict[str, tuple[Move, Move]] = {}
     departing: dict[str, list[Move]] = {v: [] for v in g.vertices}
@@ -183,7 +194,7 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
         departing[e.origin].append(forward)
         departing[e.terminus].append(backward)
     base = g.base if g.base is not None else min(g.vertices)
-    if base not in departing:
+    if not _is_vertex(departing, base):
         raise SemanticError(f"base {clipped_name(base)} is not a vertex")
     # breadth-first spanning tree, edges taken in listed order
     reached = _breadth_first(base, departing)
@@ -192,9 +203,14 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
     if g.spanning_tree is None:
         tree = tuple(sorted({m[0].edge for m in reached.values() if m is not None}))
     else:
-        tree = tuple(g.spanning_tree)
+        try:
+            tree = tuple(g.spanning_tree)
+        except TypeError:
+            raise SemanticError(
+                f"spanning tree {clipped_name(g.spanning_tree)} is not a sequence of edge ids"
+            ) from None
         for eid in tree:
-            if eid not in moves:
+            if not isinstance(eid, str) or eid not in moves:
                 raise SemanticError(f"spanning tree names unknown edge {clipped_name(eid)}")
         if len(set(tree)) != len(tree):
             raise SemanticError("spanning tree lists an edge twice")
@@ -211,15 +227,9 @@ def validate_graph(g: LabeledGraph) -> LabeledGraph:
         if len(reached) != len(g.vertices):
             missing = next(v for v in g.vertices if v not in reached)
             raise SemanticError(f"spanning tree does not reach vertex {clipped_name(missing)}")
-    parent: dict[str, tuple[str, Cross, Cross]] = {}
-    depth = {base: 0}
-    for v, m in reached.items():
-        if m is not None:
-            down, up, p = m[0], m[1], m[2]
-            parent[v] = (p, up, down)
-            depth[v] = depth[p] + 1
+    parent = {v: (m[2], m[1], m[0]) for v, m in reached.items() if m is not None}
     indexed = LabeledGraph(tuple(g.vertices), tuple(g.edges), base, tree, g.name)
-    index = GraphIndex(moves, {v: tuple(ms) for v, ms in departing.items()}, parent, depth)
+    index = GraphIndex(moves, {v: tuple(ms) for v, ms in departing.items()}, parent)
     object.__setattr__(indexed, "index", index)
     return indexed
 
@@ -310,83 +320,58 @@ def power(w: GroupWord, n: int) -> GroupWord:
 
 # surface letters: ("a", vertex, exponent) and ("t", edge, +-1)
 
-def _is_vertex(g: LabeledGraph, v) -> bool:
-    """Whether v names a vertex of the indexed graph g; an unhashable v
-    names none."""
-    try:
-        return v in g.index.depth
-    except TypeError:
-        return False
-
-
-def tree_path(g: LabeledGraph, frm: str, to: str) -> list[Cross]:
-    """Crossings along the spanning tree from one vertex to another: up from
-    frm to the lowest common ancestor, then down to `to`."""
-    g = validate_graph(g)
-    parent, depth = g.index.parent, g.index.depth
-    for v in (frm, to):
-        if not _is_vertex(g, v):
-            raise InvalidPath(f"unknown vertex {clipped_name(v)}")
-    ups: list[Cross] = []
-    downs: list[Cross] = []
-    while depth[frm] > depth[to]:
-        frm, up, _ = parent[frm]
-        ups.append(up)
-    while depth[to] > depth[frm]:
-        to, _, down = parent[to]
-        downs.append(down)
-    while frm != to:
-        frm, up, _ = parent[frm]
-        ups.append(up)
-        to, _, down = parent[to]
-        downs.append(down)
-    downs.reverse()
-    return ups + downs
-
-
-def _letter_route(g: LabeledGraph, b: str, kind, name, k) -> list[Item]:
-    """The items of one surface letter as a closed path at b: the tree
-    route to the letter's start, its power or crossing, and the tree route
-    back. A list, not a tuple: CPython 3.11 keeps freed 20-item tuples on a
-    free list it never reuses, so the routes of per-call tables (words at
-    another base) would pile up there as tuples."""
+def _letter_route(g: LabeledGraph, kind, name, k) -> list[Item]:
+    """The items of one surface letter as a closed path at the base: down
+    the spanning tree from the base to the letter's start, its power or
+    crossing, and up the tree from its end back to the base. A list, not a
+    tuple: CPython 3.11 keeps freed 20-item tuples on a free list it never
+    reuses, and a route is freed with its index."""
     if not isinstance(k, int):
         raise InvalidPath(f"exponent must be an integer, got {clipped(repr(k), str)}")
-    if kind == "a" and name in g.index.depth:
+    parent = g.index.parent
+    if kind == "a" and name in g.index.departing:
         if k == 0:
             return []
-        route = tree_path(g, b, name)
-        route.append(Pow(name, k))
-        return route + tree_path(g, name, b)
-    pair = g.index.moves.get(name) if kind == "t" else None
-    if pair is not None:
+        start = end = name
+        letter: Item = Pow(name, k)
+    elif kind == "t" and name in g.index.moves:
         if k not in (+1, -1):
             raise InvalidPath(f"crossing exponent must be +-1, got {k}")
-        _, _, start, end, _, _ = pair[k < 0]
-        route = tree_path(g, b, start)
-        route.append(Cross(name, k))
-        return route + tree_path(g, end, b)
-    if kind not in ("a", "t"):
+        _, _, start, end, _, _ = g.index.moves[name][k < 0]
+        letter = Cross(name, k)
+    elif kind not in ("a", "t"):
         raise InvalidPath(f"unknown letter kind {clipped_name(kind)}")
-    raise InvalidPath(
-        f"unknown {'vertex' if kind == 'a' else 'edge'} {clipped_name(name)}"
-        f" in letter {kind}[{clipped(str(name), str)}]"
-    )
+    else:
+        raise InvalidPath(
+            f"unknown {'vertex' if kind == 'a' else 'edge'} {clipped_name(name)}"
+            f" in letter {kind}[{clipped(str(name), str)}]"
+        )
+    route: list[Item] = []
+    while start in parent:
+        start, _, down = parent[start]
+        route.append(down)
+    route.reverse()
+    route.append(letter)
+    while end in parent:
+        end, up, _ = parent[end]
+        route.append(up)
+    return route
 
 
-def make_word(g: LabeledGraph, letters: Iterable[tuple], base: Optional[str] = None) -> GroupWord:
-    """Build a closed word from surface letters, routing each letter through
-    the spanning tree: a[v]^n conjugates a vertex power to the base, t[e]
-    crosses e between tree connectors. At the graph's base each distinct
-    letter is routed once per graph index, into GraphIndex.routes, and its
-    items are shared by every later copy in any word; at another base it is
-    routed once per call. The type of the exponent is part of the key, so
-    letters that are equal but print differently (exponent True and 1) keep
-    their own items."""
+def make_word(g: LabeledGraph, letters: Iterable[tuple]) -> GroupWord:
+    """Build a closed word at the graph's base from surface letters, routing
+    each letter through the spanning tree: a[v]^n conjugates a vertex power
+    to the base, t[e] crosses e between tree connectors. Each distinct
+    letter, exponent included, is routed once per graph index, into
+    GraphIndex.routes, which keeps its route for the life of the index;
+    every later copy in any word shares those items. The type of the
+    exponent is part of the key, so letters that are equal but print
+    differently (exponent True and 1) keep their own items. For a word at
+    another vertex v, validate the graph with that base:
+    validate_graph(dataclasses.replace(g, base=v)) keeps g's spanning tree."""
     g = validate_graph(g)
-    b = base if base is not None else g.base
     items: list[Item] = []
-    routes = g.index.routes if b == g.base else {}
+    routes = g.index.routes
     letter = letters  # named when the letters cannot be iterated
     try:
         for letter in letters:
@@ -394,17 +379,14 @@ def make_word(g: LabeledGraph, letters: Iterable[tuple], base: Optional[str] = N
             key = (kind, name, k, type(k))
             route = routes.get(key)
             if route is None:
-                route = routes[key] = _letter_route(g, b, kind, name, k)
+                route = routes[key] = _letter_route(g, kind, name, k)
             items += route
     except (TypeError, ValueError):  # not a (kind, name, exponent) triple
         raise InvalidPath(
             f"malformed letter {clipped(repr(letter), str)}; letters are"
             " (kind, name, exponent) triples"
         ) from None
-    # routes are closed paths at b, so only the base itself can be wrong
-    if not _is_vertex(g, b):
-        raise InvalidPath(f"base {clipped_name(b)} is not a vertex")
-    return GroupWord(b, tuple(items))
+    return GroupWord(g.base, tuple(items))
 
 
 # -- Britton reduction -----------------------------------------------------------
@@ -432,7 +414,7 @@ def _linear_reduce(g: LabeledGraph, w: GroupWord) -> list[tuple[Optional[Cross],
     and the path closes up at the base. It pushes the index's own crossings,
     so a pinch is the top crossing being the reverse of the item's."""
     moves = g.index.moves
-    if not _is_vertex(g, w.base):
+    if not _is_vertex(g.index.departing, w.base):
         raise InvalidPath(f"base {clipped_name(w.base)} is not a vertex")
     out: list[tuple[Optional[Cross], int, str]] = []
     c, p, v = None, 0, w.base

@@ -91,10 +91,12 @@ def verify_modularity(
     l_gcd, decided once per kept set. As d(x, wx) = l(w) + 2 d(x, axis) for
     a tree isometry (Culler-Morgan), l = max(k(w^2) - k(w), 0) at the base,
     where k(u) counts kept-orbit steps on u's normalized coset path. Each
-    word is reduced once. A failure is a bug, never a counterexample."""
-    seqs, shifts = [], []
+    word is reduced once and keeps its crossing count per orbit, so a kept
+    set's Britton lengths are sums over its orbits, not rescans of the
+    sequences. A failure is a bug, never a counterexample."""
+    counts, shifts = [], []
     for w in words:
-        seqs.append(gbs.crossing_sequence(m.graph, w))
+        counts.append(Counter(gbs.crossing_sequence(m.graph, w)))
         steps, pending, _ = gbs._normalize_steps(m.graph, w.items)
         twice, _, _ = gbs._normalize_steps(m.graph, w.items, steps, pending)
         shift = Counter(c.edge for c, _ in twice)
@@ -106,7 +108,7 @@ def verify_modularity(
         for kept in (K1.kept | K2.kept, K1.kept & K2.kept):
             ok = exact.get(kept)
             if ok is None:
-                britton = [sum(map(kept.__contains__, seq)) for seq in seqs]
+                britton = [sum(n for e, n in c.items() if e in kept) for c in counts]
                 ok = exact[kept] = _coset_lengths(shifts, kept) == britton
             if not ok:
                 failed.append((i, j))

@@ -67,6 +67,11 @@ class TestValidateGraph:
             sp.validate_graph(g)
         assert str(info.value) == f"base {LONG_SHOWN} is not a vertex"
 
+    def test_edge_not_an_edge(self):
+        with pytest.raises(SemanticError) as info:
+            sp.validate_graph(sp.LabeledGraph(("v",), ("e",)))
+        assert str(info.value) == "edge 'e' is not an Edge"
+
     def test_disconnected(self):
         with pytest.raises(Disconnected):
             sp.validate_graph(
@@ -154,6 +159,8 @@ class TestGraphIndex:
             (("f", "f"), "twice"),
             (("e",), "does not reach vertex 'v'"),  # a loop
             ((), "has 0 edges"),
+            ([["f"]], r"^spanning tree names unknown edge \['f'\]$"),  # unhashable
+            (5, "^spanning tree 5 is not a sequence of edge ids$"),
         ],
     )
     def test_given_tree_must_span(self, tree, message):
@@ -174,15 +181,6 @@ class TestGraphIndex:
         )
         with pytest.raises(SemanticError, match="does not reach vertex 'w'"):
             sp.validate_graph(sp.LabeledGraph(("u", "v", "w"), edges, None, ("f", "g")))
-
-    def test_tree_path_through_common_ancestor(self):
-        # star rooted at c: the path between two leaves goes up, then down
-        g = sp.graph(
-            ("c", "x", "y"),
-            (("p", "c", "x", 2, 3), ("q", "y", "c", 2, 3)),
-        )
-        assert gbs.tree_path(g, "x", "y") == [Cross("p", -1), Cross("q", -1)]
-        assert gbs.tree_path(g, "y", "y") == []
 
 
 class TestWords:
@@ -209,30 +207,31 @@ class TestWords:
             W(bs23, ("t", "nope", 1))
 
     def test_unknown_base_named(self, bs23):
-        with pytest.raises(InvalidPath, match="unknown vertex 'zz'"):
-            sp.make_word(bs23, (("a", "v", 1),), base="zz")
+        # a word at another vertex is built on the graph re-based there
+        with pytest.raises(SemanticError, match="base 'zz' is not a vertex"):
+            sp.make_word(dataclasses.replace(bs23, base="zz"), (("a", "v", 1),))
 
     @pytest.mark.parametrize(
-        "call, message",
+        "call, error, message",
         [
-            (lambda g: sp.make_word(g, [], base=[1]), "base [1] is not a vertex"),
-            (lambda g: sp.make_word(g, [("a", "v", 1)], base=[1]), "unknown vertex [1]"),
+            (lambda g: sp.make_word(dataclasses.replace(g, base=[1]), []),
+             SemanticError, "base [1] is not a vertex"),
+            (lambda g: sp.make_word(dataclasses.replace(g, base=[1]), [("a", "v", 1)]),
+             SemanticError, "base [1] is not a vertex"),
             (lambda g: sp.translation_length(g, GroupWord(["v"], ())),
-             "base ['v'] is not a vertex"),
-            (lambda g: gbs.tree_path(g, [1], "v"), "unknown vertex [1]"),
-            (lambda g: sp.make_word(g, [], base=LONG), f"base {LONG_SHOWN} is not a vertex"),
-            (lambda g: sp.make_word(g, [("a", "v", 1)], base=LONG),
-             f"unknown vertex {LONG_SHOWN}"),
+             InvalidPath, "base ['v'] is not a vertex"),
+            (lambda g: sp.make_word(dataclasses.replace(g, base=LONG), []),
+             SemanticError, f"base {LONG_SHOWN} is not a vertex"),
+            (lambda g: sp.make_word(dataclasses.replace(g, base=LONG), [("a", "v", 1)]),
+             SemanticError, f"base {LONG_SHOWN} is not a vertex"),
             (lambda g: sp.translation_length(g, GroupWord(LONG, ())),
-             f"base {LONG_SHOWN} is not a vertex"),
-            (lambda g: gbs.tree_path(g, "v", LONG), f"unknown vertex {LONG_SHOWN}"),
+             InvalidPath, f"base {LONG_SHOWN} is not a vertex"),
         ],
-        ids=["make_word", "make_word letter", "translation_length", "tree_path",
-             "long make_word", "long make_word letter", "long translation_length",
-             "long tree_path"],
+        ids=["make_word", "make_word letter", "translation_length",
+             "long make_word", "long make_word letter", "long translation_length"],
     )
-    def test_unhashable_base_named(self, bs23, call, message):
-        with pytest.raises(InvalidPath) as info:
+    def test_unhashable_base_named(self, bs23, call, error, message):
+        with pytest.raises(error) as info:
             call(bs23)
         assert str(info.value) == message
 
@@ -362,15 +361,15 @@ class TestAxisGap:
 
     def test_words_at_different_bases_rejected(self, m3):
         # both inputs are hyperbolic, so the products are what fails
-        tu = sp.make_word(m3, [("t", "e", 1)], base="u")
-        tv = sp.make_word(m3, [("t", "ep", 1)], base="v")
+        tu = W(dataclasses.replace(m3, base="u"), ("t", "e", 1))
+        tv = W(dataclasses.replace(m3, base="v"), ("t", "ep", 1))
         for w1, w2 in ((tu, tv), (tv, tu)):
             with pytest.raises(InvalidPath, match="^concatenated words must share a base vertex$"):
                 sp.axis_gap(m3, w1, w2)
 
     def test_elliptic_input_rejected_before_bases_are_compared(self, m3):
-        au = sp.make_word(m3, [("a", "u", 1)], base="u")
-        tv = sp.make_word(m3, [("t", "ep", 1)], base="v")
+        au = W(dataclasses.replace(m3, base="u"), ("a", "u", 1))
+        tv = W(dataclasses.replace(m3, base="v"), ("t", "ep", 1))
         for w1, w2 in ((au, tv), (tv, au)):
             with pytest.raises(NotHyperbolic):
                 sp.axis_gap(m3, w1, w2)
@@ -726,10 +725,16 @@ BAD_ARGUMENTS = [
     ("sampled word count 2.0", lambda: gbs.sample_words(sp.bs(2, 3), 2.0, 3, 0)),
     ("census budget '3'", lambda: sp.enumerate_orbifolds("3")),
     ("sampled word length 2.5", lambda: gbs.sample_words(sp.bs(2, 3), 1, 2.5, 0)),
-    ("unhashable base, no letters", lambda: sp.make_word(sp.bs(2, 3), [], base=[1])),
-    ("unhashable base, one letter", lambda: sp.make_word(sp.bs(2, 3), [("a", "v", 1)], base=[1])),
+    ("unhashable base, no letters", lambda: sp.make_word(
+        dataclasses.replace(sp.bs(2, 3), base=[1]), [])),
+    ("unhashable base, one letter", lambda: sp.make_word(
+        dataclasses.replace(sp.bs(2, 3), base=[1]), [("a", "v", 1)])),
     ("unhashable word base", lambda: sp.translation_length(sp.bs(2, 3), GroupWord(["v"], ()))),
-    ("unhashable tree path vertex", lambda: gbs.tree_path(sp.bs(2, 3), [1], "v")),
+    ("unhashable spanning tree edge", lambda: sp.validate_graph(
+        dataclasses.replace(sp.bs(2, 3), spanning_tree=[["e"]]))),
+    ("spanning tree 5", lambda: sp.validate_graph(
+        dataclasses.replace(sp.bs(2, 3), spanning_tree=5))),
+    ("edge not an Edge", lambda: sp.validate_graph(sp.LabeledGraph(("v",), ("e",)))),
     ("power exponent 1.5", lambda: sp.power(W(sp.bs(2, 3), ("t", "e", 1)), 1.5)),
     ("sampled word seed [1]", lambda: gbs.sample_words(sp.bs(2, 3), 1, 2, [1])),
     ("edge of two fields", lambda: sp.graph(("v",), (("e", "v"),))),

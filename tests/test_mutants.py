@@ -3,15 +3,18 @@ variant and asserts that a named self-check of the package catches it, so
 that check is shown able to fail."""
 
 import functools
+import io
+import itertools
+from collections import Counter
 
 import pytest
 
 import splittings as sp
-from splittings import gbs
+from splittings import cli_io, gbs, tree_arithmetic as ta
 from splittings.errors import IdentityViolation
 
 import test_properties as props
-from conftest import make_m3
+from conftest import INPUTS, make_m3
 
 M3 = make_m3()
 BS23 = sp.validate_graph(sp.bs(2, 3))
@@ -82,3 +85,113 @@ def test_cyclic_reference_catches_a_pass_that_stops_after_one_wrap_pinch(monkeyp
     fresh = sp.GroupWord(u.base, u.items)
     assert sp.translation_length(BS23, fresh) != len(entries)
     assert sp.crossing_sequence(BS23, fresh) != [c.edge for c, _, _ in entries]
+
+
+def faulty_search(count_after_asking=False, keep_walking=False):
+    # gbs._search with one of two faults: the element count taken after
+    # the questions are asked, or the walk read on once every question has
+    # answered
+    def search(g, L, questions):
+        outcomes = dict.fromkeys(questions)
+        pending = dict(questions)
+        tried = 0
+        if pending:
+            for w, seq in gbs._elements(g, L):
+                tried += not count_after_asking
+                for key, ask in list(pending.items()):
+                    witness = ask(w, seq)
+                    if witness is not None:
+                        outcomes[key] = sp.SearchOutcome("found", witness, tried)
+                        del pending[key]
+                tried += count_after_asking
+                if not pending and not keep_walking:
+                    break
+        for key in pending:
+            outcomes[key] = sp.SearchOutcome("exhausted", None, tried)
+        return outcomes
+
+    return search
+
+
+@pytest.mark.parametrize(
+    "mutant", [{"count_after_asking": True}, {"keep_walking": True}],
+    ids=["counts after asking", "keeps walking"],
+)
+def test_search_reference_catches_a_faulty_search(monkeypatch, mutant):
+    # on M3 at L = 3 every pair of prime factors is separated within the
+    # first few elements, long before the walk ends
+    check = props.test_squarefree_search_matches_reference.hypothesis.inner_test
+    check(M3, 3)
+    monkeypatch.setattr(gbs, "_search", faulty_search(**mutant))
+    with pytest.raises(AssertionError):
+        check(M3, 3)
+
+
+def elements_keyed_by_items(g, max_len):
+    # gbs._elements with each element keyed by its word's items, not by its
+    # coset normal form, so words that spell one element are all yielded
+    g = sp.validate_graph(g)
+    alphabet = [("a", v, k) for v in g.vertices for k in (1, -1)]
+    alphabet += [("t", e.id, k) for e in g.edges for k in (1, -1)]
+    routes = [sp.make_word(g, (x,)).items for x in alphabet]
+    seen = {()}
+    frontier = [((), -1)]
+    for _ in range(max_len):
+        nxt = []
+        for items, back in frontier:
+            for i, route in enumerate(routes):
+                child = items + route
+                if i == back or child in seen:
+                    continue
+                seen.add(child)
+                w = sp.GroupWord(g.base, child)
+                yield w, sp.crossing_sequence(g, w)
+                nxt.append((child, i ^ 1))
+        frontier = nxt
+
+
+def test_element_walk_reference_catches_elements_keyed_by_items(monkeypatch):
+    # t[f] crosses the tree edge f and back, so it spells the identity,
+    # and t[f] a[u] spells a[u]
+    check = props.test_element_walk_matches_string_walk.hypothesis.inner_test
+    check(M3, 2)
+    monkeypatch.setattr(gbs, "_elements", elements_keyed_by_items)
+    with pytest.raises(AssertionError):
+        check(M3, 2)
+
+
+def britton_column_skewed(m, collapses, words):
+    # verify_modularity with the first word's count of the first orbit one
+    # too high in every Britton column
+    counts, shifts = [], []
+    for w in words:
+        counts.append(Counter(gbs.crossing_sequence(m.graph, w)))
+        steps, pending, _ = gbs._normalize_steps(m.graph, w.items)
+        twice, _, _ = gbs._normalize_steps(m.graph, w.items, steps, pending)
+        shift = Counter(c.edge for c, _ in twice)
+        shift.subtract(c.edge for c, _ in steps)
+        shifts.append(shift)
+    counts[0][m.orbits[0]] += 1
+    exact: dict = {}
+    failed = []
+    for (i, K1), (j, K2) in itertools.combinations(enumerate(collapses), 2):
+        for kept in (K1.kept | K2.kept, K1.kept & K2.kept):
+            ok = exact.get(kept)
+            if ok is None:
+                britton = [sum(n for e, n in c.items() if e in kept) for c in counts]
+                ok = exact[kept] = ta._coset_lengths(shifts, kept) == britton
+            if not ok:
+                failed.append((i, j))
+                break
+    return failed
+
+
+def test_lattice_verify_catches_a_skewed_britton_column(monkeypatch):
+    # the lcm of K1 and K2 on inputs/m3.txt keeps every orbit, the first too
+    path = str(INPUTS / "m3.txt")
+    assert cli_io.run(["lattice", "verify", path], stdout=io.StringIO(),
+                      stderr=io.StringIO()) == 0
+    monkeypatch.setattr(ta, "verify_modularity", britton_column_skewed)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_io.run(["lattice", "verify", path], stdout=out, stderr=err) == 2
+    assert "pair K1,K2: FAILED" in out.getvalue() and "identity violation" in err.getvalue()

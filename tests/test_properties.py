@@ -116,9 +116,34 @@ def test_move_table_matches_edges(g):
         assert all(a is b for a, b in zip(departing, leaving))
 
 
+def tree_route(g, frm, to):
+    # the crossings of the one path from frm to to in g's spanning tree,
+    # found by a depth-first search over the tree's edges as listed, with
+    # no use of the graph index
+    tree = [g.edge(eid) for eid in g.spanning_tree]
+
+    def search(v, came, path):
+        if v == to:
+            return path
+        for e in tree:
+            for a, b, sign in ((e.origin, e.terminus, 1), (e.terminus, e.origin, -1)):
+                if a == v and e.id != came:
+                    found = search(b, e.id, path + [Cross(e.id, sign)])
+                    if found is not None:
+                        return found
+        return None
+
+    return search(frm, None, [])
+
+
+def rebased(g, v):
+    # g validated at base v; the spanning tree is kept
+    return sp.validate_graph(dataclasses.replace(g, base=v))
+
+
 def routed_word(g, letters, base=None):
-    # make_word without its per-call memo: every letter routed through the
-    # spanning tree anew
+    # make_word without its route table: every letter routed through the
+    # spanning tree anew, at any base
     b = base if base is not None else g.base
     items = []
     for kind, name, k in letters:
@@ -127,8 +152,7 @@ def routed_word(g, letters, base=None):
                 raise sp.InvalidPath(f"unknown vertex {name!r} in letter a[{name}]")
             if k == 0:
                 continue
-            items += gbs.tree_path(g, b, name) + [Pow(name, k)]
-            items += gbs.tree_path(g, name, b)
+            items += tree_route(g, b, name) + [Pow(name, k)] + tree_route(g, name, b)
         else:
             if name not in {e.id for e in g.edges}:
                 raise sp.InvalidPath(f"unknown edge {name!r} in letter t[{name}]")
@@ -136,8 +160,7 @@ def routed_word(g, letters, base=None):
                 raise sp.InvalidPath(f"crossing exponent must be +-1, got {k}")
             e = g.edge(name)
             start, end = (e.origin, e.terminus) if k > 0 else (e.terminus, e.origin)
-            items += gbs.tree_path(g, b, start) + [Cross(e.id, k)]
-            items += gbs.tree_path(g, end, b)
+            items += tree_route(g, b, start) + [Cross(e.id, k)] + tree_route(g, end, b)
     return sp.validate_word(g, sp.GroupWord(b, tuple(items)))
 
 
@@ -152,7 +175,7 @@ def test_make_word_matches_routing_each_letter(g, data):
     pool += [(kind, name, True) for kind, name, k in pool if k == 1]
     letters = data.draw(st.lists(st.sampled_from(pool), max_size=12))
     base = data.draw(st.sampled_from((None,) + g.vertices))
-    w = sp.make_word(g, letters, base)
+    w = sp.make_word(g if base is None else rebased(g, base), letters)
     ref = routed_word(g, letters, base)
     assert w == ref and repr(w) == repr(ref)
 
@@ -162,19 +185,22 @@ def test_route_table_matches_routing_each_letter(gw):
     # the drawn words filled part of g's route table, and a re-indexed copy
     # of g starts with an empty one; on both, every letter gives the
     # reference's items on its first call and again on a table hit, and
-    # exponent True keeps its own entry apart from 1. Words at the other
-    # bases, asked before and after the base's, neither read nor fill it
+    # exponent True keeps its own entry apart from 1. Words on g re-based
+    # at each other vertex, asked before and after the base's, route
+    # through their own tables and leave g's alone
     g, _ = gw
     fresh = sp.validate_graph(dataclasses.replace(g))
     assert fresh.index.routes == {}
     alphabet = [("a", v, k) for v in g.vertices for k in (-2, 1, True)]
     alphabet += [("t", e.id, k) for e in g.edges for k in (1, True, -1)]
+    others = [rebased(g, b) for b in g.vertices if b != g.base]
 
     def at_other_bases(h, letter):
-        for b in h.vertices:
-            if b != h.base:
-                ref = routed_word(h, [letter], b).items
-                assert repr(sp.make_word(h, [letter], b).items) == repr(ref)
+        size = len(h.index.routes)
+        for o in others:
+            ref = routed_word(h, [letter], o.base).items
+            assert repr(sp.make_word(o, [letter]).items) == repr(ref)
+        assert len(h.index.routes) == size
 
     for h in (fresh, g):
         for letter in alphabet:
@@ -309,7 +335,7 @@ def test_word_errors_match_reference_validator(g, data):
     # them succeed when the reference does
     letters = data.draw(letters_for(g))
     base = data.draw(st.sampled_from((None,) + g.vertices))
-    w = sp.make_word(g, letters, base)
+    w = sp.make_word(g if base is None else rebased(g, base), letters)
     reference_validate(g, w)
     consumers = word_consumers(g)
     for bad in corruptions(g, w, data):
@@ -560,14 +586,18 @@ def test_validate_returns_indexed_graph(g):
 
 @given(gbs_graphs(), st.data())
 def test_tree_paths_cancel(g, data):
+    # a[v] at base u is the tree path from u to v, the power, and the same
+    # path back reversed; the two paths alone cancel
     u = data.draw(st.sampled_from(g.vertices))
     v = data.draw(st.sampled_from(g.vertices))
-    there = gbs.tree_path(g, u, v)
-    back = gbs.tree_path(g, v, u)
+    h = rebased(g, u)
+    items = sp.make_word(h, [("a", v, 1)]).items
+    i = items.index(Pow(v, 1))
+    there, back = list(items[:i]), list(items[i + 1:])
     assert {c.edge for c in there} <= set(g.spanning_tree)
     assert back == [Cross(c.edge, -c.sign) for c in reversed(there)]
     loop = sp.GroupWord(u, tuple(there + back))
-    assert sp.britton_reduce(g, loop).word.items == ()
+    assert sp.britton_reduce(h, loop).word.items == ()
 
 
 @given(graph_with_words(2))
@@ -883,6 +913,34 @@ def test_no_modularity_failure_on_random_graphs(gw):
         for kept in itertools.combinations(m.orbits, r)
     ]
     assert ta.verify_modularity(m, collapses, words) == []
+
+
+@given(graph_with_words(3))
+def test_britton_columns_match_per_sequence_sums(gw):
+    # the coset side is replaced by a reference: per word, the entries of
+    # its crossing sequence that lie in the kept set. verify_modularity
+    # then passes exactly when every kept set's Britton column, summed from
+    # the per-orbit counts, equals these per-sequence sums
+    g, words = gw
+    m = ta.master(g)
+    collapses = [
+        ta.collapse(m, kept)
+        for r in range(len(m.orbits) + 1)
+        for kept in itertools.combinations(m.orbits, r)
+    ]
+    seqs = [sp.britton_reduce(g, w).crossing_sequence for w in words]
+    asked = set()
+
+    def reference(shifts, kept):
+        asked.add(kept)
+        return [sum(1 for e in seq if e in kept) for seq in seqs]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ta, "_coset_lengths", reference)
+        assert ta.verify_modularity(m, collapses, words) == []
+    # each kept set is the union of itself with the empty set, and the
+    # empty set their intersection
+    assert asked == ({c.kept for c in collapses} if len(collapses) > 1 else set())
 
 
 @given(st.sampled_from(SUBSETS), words_for(M3))
